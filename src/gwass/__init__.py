@@ -7,12 +7,11 @@ to run and verify a sample-and-hold Lagrangian scheme for transport
 equations whose velocity field and source both depend on the measure.
 """
 
-from .measures import (DEFAULT_QUANTUM, CanonicalForm, DiscreteMeasure, add,
-                       canonical_form, canonicalize, load_measure,
-                       measure_from_json, measure_to_json, push_forward,
-                       restrict, save_measure, scale, total_mass, tv_distance)
-from .transport import (MassMismatchError, TransportPlan, WpResult,
-                        wasserstein, wasserstein_scaling_check)
+from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, add, canonicalize,
+                       load_measure, measure_from_json, measure_to_json,
+                       push_forward, restrict, save_measure, scale,
+                       total_mass, tv_distance)
+from .transport import MassMismatchError, TransportPlan, WpResult, wasserstein
 from .gw import (GwParams, GwResult, gw_brute_force, gw_distance,
                  levy_prokhorov_1d)
 from .flows import (FieldConstants, FlowConfig, VectorFieldModel,
@@ -23,12 +22,10 @@ from .dynamics import (SourceModel, Trajectory, build_source_model,
                        reference_problem, sample_and_hold)
 
 __all__ = [
-    "DEFAULT_QUANTUM", "CanonicalForm", "DiscreteMeasure", "add",
-    "canonical_form", "canonicalize", "load_measure", "measure_from_json",
-    "measure_to_json", "push_forward", "restrict", "save_measure", "scale",
-    "total_mass", "tv_distance",
+    "DEFAULT_QUANTUM", "DiscreteMeasure", "add", "canonicalize",
+    "load_measure", "measure_from_json", "measure_to_json", "push_forward",
+    "restrict", "save_measure", "scale", "total_mass", "tv_distance",
     "MassMismatchError", "TransportPlan", "WpResult", "wasserstein",
-    "wasserstein_scaling_check",
     "GwParams", "GwResult", "gw_brute_force", "gw_distance",
     "levy_prokhorov_1d",
     "FieldConstants", "FlowConfig", "VectorFieldModel",

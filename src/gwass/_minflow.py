@@ -228,124 +228,84 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
     Successive shortest augmenting paths on the bipartite flow network give
     the exact convex piecewise-linear T over m in [0, min(|supply|,|demand|)]:
     every augmentation transports mass at the current cheapest marginal cost
-    (the path cost), and path costs are nondecreasing.  Breakpoints fall at
-    augmentation saturations, of which there are at most n + m.
+    (the path cost), and path costs are nondecreasing.  Each augmentation
+    ends one segment, so every breakpoint of T is a segment end; consecutive
+    segments may share a slope.
+
+    The network lives on one dense residual-capacity matrix over the nodes
+    (sources, targets, super source, sink); the flow on arc (i, j) is the
+    residual capacity of its reverse arc (j, i).
 
     Returns the list of :class:`ParametricSegment`.  Intended for the small
-    instances of the p > 1 solver; complexity is O((n+m)^3) per call.
+    instances of the p > 1 solver.
     """
     n, m = cost.shape
     n_nodes = n + m + 2
     src, snk = n + m, n + m + 1
-    res_src = supply.astype(float).copy()   # residual of source->i arcs
-    res_snk = demand.astype(float).copy()   # residual of j->sink arcs
-    flows = np.zeros((n, m))
+    tgt = slice(n, n + m)
+    arc_cost = np.zeros((n_nodes, n_nodes))
+    arc_cost[:n, tgt] = cost
+    arc_cost[tgt, :n] = -cost.T
+    cap = np.zeros((n_nodes, n_nodes))
+    cap[src, :n] = supply
+    cap[:n, tgt] = np.inf
+    cap[tgt, snk] = demand
     pot = np.zeros(n_nodes)                 # node potentials for reduced costs
     segments = []
     m_done = 0.0
     t_done = 0.0
     total = min(float(np.sum(supply)), float(np.sum(demand)))
     while m_done < total - 1e-15 * max(total, 1.0):
-        dist, parent = _dijkstra_bipartite(cost, flows, res_src, res_snk, pot)
+        reduced = np.where(cap > 1e-15, np.maximum(0.0, arc_cost + pot[:, None] - pot), np.inf)
+        dist, parent = _dijkstra_dense(reduced.tolist(), src, snk)
         if not np.isfinite(dist[snk]):
             break
         # clamp unfinalized labels at dist[snk]; keeps reduced costs valid
         pot_new = pot + np.minimum(dist, dist[snk])
         # true per-unit cost of this augmentation in original costs
         slope = pot_new[snk] - pot_new[src]
-        bottleneck, path = _trace_path(parent, src, snk, flows, res_src, res_snk, n, m)
-        bottleneck = min(bottleneck, total - m_done)
+        path = [snk]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path = np.array(path)
+        heads, tails = path[:-1], path[1:]
+        bottleneck = min(min(cap[tails, heads].tolist()), total - m_done)
         if bottleneck <= 1e-15 * max(total, 1.0):
             break  # degenerate residual: no measurable progress possible
-        for kind, i, j in path:
-            if kind == "fwd":
-                flows[i, j] += bottleneck
-            elif kind == "bwd":
-                flows[i, j] -= bottleneck
-            elif kind == "src":
-                res_src[i] -= bottleneck
-            else:
-                res_snk[j] -= bottleneck
+        cap[tails, heads] -= bottleneck
+        cap[heads, tails] += bottleneck
         pot = pot_new
         segments.append(ParametricSegment(
             m_lo=m_done, m_hi=m_done + bottleneck, t_lo=t_done,
-            slope=float(slope), flows_hi=flows.copy(),
+            slope=float(slope), flows_hi=cap[tgt, :n].T.copy(),
         ))
         m_done += bottleneck
         t_done += float(slope) * bottleneck
     return segments
 
 
-def _dijkstra_bipartite(cost, flows, res_src, res_snk, pot):
-    """Shortest reduced-cost path search on the residual bipartite network."""
-    n, m = cost.shape
-    n_nodes = n + m + 2
-    src, snk = n + m, n + m + 1
-    dist = np.full(n_nodes, np.inf)
-    parent = np.full(n_nodes, -1, dtype=int)
-    done = np.zeros(n_nodes, dtype=bool)
+def _dijkstra_dense(reduced, src, snk):
+    """Dense O(V^2) Dijkstra on a nonnegative weight matrix (lists, inf = no arc).
+
+    Stops once ``snk`` is settled; ties settle the lowest node index first.
+    Returns the distance array and the parent list of the search tree.
+    """
+    n_nodes = len(reduced)
+    dist = [np.inf] * n_nodes
+    parent = [-1] * n_nodes
     dist[src] = 0.0
-    for _ in range(n_nodes):
-        u = -1
-        best = np.inf
-        for v in range(n_nodes):
-            if not done[v] and dist[v] < best:
-                best = dist[v]
-                u = v
-        if u < 0:
+    todo = list(range(n_nodes))
+    u = src
+    while u != snk:
+        todo.remove(u)
+        du = dist[u]
+        row = reduced[u]
+        for v in todo:
+            nd = du + row[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+        u = min(todo, key=dist.__getitem__)
+        if dist[u] == np.inf:
             break
-        done[u] = True
-        if u == snk:
-            break
-        if u == src:
-            for i in range(n):
-                if res_src[i] > 1e-15:
-                    nd = dist[u] + max(0.0, 0.0 + pot[src] - pot[i])
-                    if nd < dist[i]:
-                        dist[i] = nd
-                        parent[i] = src
-        elif u < n:
-            for j in range(m):
-                nd = dist[u] + max(0.0, cost[u, j] + pot[u] - pot[n + j])
-                if nd < dist[n + j]:
-                    dist[n + j] = nd
-                    parent[n + j] = u
-        else:
-            j = u - n
-            if res_snk[j] > 1e-15:
-                nd = dist[u] + max(0.0, 0.0 + pot[u] - pot[snk])
-                if nd < dist[snk]:
-                    dist[snk] = nd
-                    parent[snk] = u
-            for i in range(n):
-                if flows[i, j] > 1e-15:
-                    nd = dist[u] + max(0.0, -cost[i, j] + pot[u] - pot[i])
-                    if nd < dist[i]:
-                        dist[i] = nd
-                        parent[i] = u
-    return dist, parent
-
-
-def _trace_path(parent, src, snk, flows, res_src, res_snk, n, m):
-    """Walk parents from sink to source; return bottleneck and arc list."""
-    path = []
-    bottleneck = np.inf
-    v = snk
-    while v != src:
-        u = parent[v]
-        if u < 0:
-            raise RuntimeError("disconnected augmenting path")
-        if u == src:
-            path.append(("src", v, -1))
-            bottleneck = min(bottleneck, res_src[v])
-        elif v == snk:
-            path.append(("snk", -1, u - n))
-            bottleneck = min(bottleneck, res_snk[u - n])
-        elif u < n and v >= n:
-            path.append(("fwd", u, v - n))
-        else:
-            # residual (backward) arc target->source
-            path.append(("bwd", v, u - n))
-            bottleneck = min(bottleneck, flows[v, u - n])
-        v = u
-    return float(bottleneck), path
+    return np.array(dist), parent

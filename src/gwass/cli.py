@@ -167,13 +167,20 @@ def cmd_simulate(args) -> int:
     init = cfg["initial_measure"]
     mu0 = _load(init) if isinstance(init, str) else measure_from_json(init)
     p_cfg = cfg.get("params", {})
-    params = GwParams(p_cfg.get("a", 1.0), p_cfg.get("b", 1.0), p_cfg.get("p", 1.0))
+    try:
+        params = GwParams(p_cfg.get("a", 1.0), p_cfg.get("b", 1.0), p_cfg.get("p", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid params: {exc}") from exc
     levels = [cfg["level"]]
     if cfg.get("k_range"):
         levels.append(cfg["k_range"][1] + 1)
     if cfg.get("dependence"):
         levels.append(int(cfg["dependence"].get("level", cfg["level"])))
     top_level = max(levels)
+    max_level = int(cfg.get("max_level", 10))
+    if top_level > max_level:
+        raise InputError(f"level {top_level} exceeds max_level {max_level}; "
+                         "raise max_level in the config explicitly")
     try:
         source = build_source_model(cfg["source"])
         mass_cap = cfg.get("mass_cap", total_mass(mu0) + source.P)
@@ -183,7 +190,6 @@ def cmd_simulate(args) -> int:
     t_final = float(cfg.get("T", 1.0))
     ode_step = cfg.get("ode_step", t_final / (1 << top_level))
     flow_cfg = FlowConfig(float(ode_step))
-    max_level = int(cfg.get("max_level", 10))
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

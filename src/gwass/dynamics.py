@@ -155,9 +155,6 @@ class Trajectory:
     def dt(self) -> float:
         return self.T / (1 << self.level)
 
-    def grid_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
     def at(self, t: float) -> DiscreteMeasure:
         """Measure at an arbitrary time in [0, T]."""
         if not 0.0 <= t <= self.T + 1e-12:

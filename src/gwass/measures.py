@@ -88,21 +88,13 @@ class DiscreteMeasure:
         return bool(np.all(self.weights == 0.0))
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A measure together with the quantization step used to deduplicate it.
-
-    Canonicalization snaps positions to the lattice ``quantum * Z^d``, merges
-    coincident atoms and drops weights at or below the prune threshold.  It
-    is idempotent and preserves the total mass.
-    """
-
-    quantum: float
-    measure: DiscreteMeasure
-
-
 def _lattice_keys(positions: np.ndarray, quantum: float) -> np.ndarray:
-    return np.rint(positions / quantum).astype(np.int64)
+    keys = np.rint(positions / quantum)
+    if np.any(np.abs(keys) >= 2.0 ** 63):
+        raise ValueError(
+            f"coordinate {np.max(np.abs(positions)):g} is off the int64 lattice of "
+            f"quantum {quantum:g}; rescale the positions or raise the quantum")
+    return keys.astype(np.int64)
 
 
 def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM,
@@ -112,6 +104,8 @@ def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM,
     Atoms whose merged weight is <= ``prune`` (default 0, so exact zeros)
     are dropped.  Output atoms are sorted lexicographically by lattice key,
     which makes every downstream computation independent of input ordering.
+    Raises ``ValueError`` when a lattice index |x| / quantum does not fit in
+    int64, rather than letting distant atoms wrap around and merge.
     """
     if quantum <= 0:
         raise ValueError("quantum must be positive")
@@ -123,11 +117,6 @@ def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM,
     np.add.at(w, inverse.ravel(), mu.weights)
     keep = w > prune
     return DiscreteMeasure(mu.dim, uniq[keep] * quantum, w[keep])
-
-
-def canonical_form(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM,
-                   prune: float = 0.0) -> CanonicalForm:
-    return CanonicalForm(quantum, canonicalize(mu, quantum, prune))
 
 
 def total_mass(mu: DiscreteMeasure) -> float:

@@ -64,9 +64,6 @@ class TransportPlan:
         if np.max(np.abs(col - self.target_ref.weights), initial=0.0) > rel_tol * scale:
             raise ValueError("plan column sums do not match target weights")
 
-    def transported_mass(self) -> float:
-        return float(sum(f for _, _, f in self.entries))
-
     def cost(self, p: float) -> float:
         """sum of flow * |x_i - y_j|^p over the plan entries."""
         if not self.entries:
@@ -149,20 +146,3 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     value = max(raw, 0.0) ** (1.0 / p)
     return WpResult(value, TransportPlan.from_matrix(flows, mu, nu), p)
 
-
-def wasserstein_scaling_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                              k: float, p: float) -> tuple[float, float]:
-    """Return (W_p(k mu, k nu), k^(1/p) W_p(mu, nu)) for the caller to compare.
-
-    Scaling both measures by k multiplies every plan's cost by k and leaves
-    the coupling set unchanged, so the two numbers agree:
-    W_p(k mu, k nu) = k^(1/p) W_p(mu, nu).
-    """
-    if k < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {k}")
-    if k == 0:
-        return 0.0, 0.0
-    from .measures import scale as scale_measure
-    lhs = wasserstein(scale_measure(mu, k), scale_measure(nu, k), p).value
-    rhs = k ** (1.0 / p) * wasserstein(mu, nu, p).value
-    return lhs, rhs

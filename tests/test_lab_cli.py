@@ -200,3 +200,23 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     for fieldname in ("initial_measure", "velocity", "source", "level", "T", "k_range"):
         assert fieldname in err
+
+
+@pytest.mark.parametrize("change", [{"level": 11}, {"level": 5, "max_level": 4},
+                                    {"params": {"a": 0}}, {"params": {"a": "x"}}])
+def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
+    mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
+    config = {
+        "initial_measure": mu0,
+        "velocity": {"base": {"kind": "constant", "c": [0.5]}, "kernel": {"kind": "zero"}},
+        "source": {"kind": "zero"},
+        "level": 2,
+        **change,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_dir.exists()

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwass.measures import (DEFAULT_QUANTUM, DiscreteMeasure, add,
-                            canonical_form, canonicalize, measure_from_json,
-                            measure_to_json, push_forward, restrict, scale,
-                            total_mass, tv_distance)
+from gwass.measures import (DiscreteMeasure, add, canonicalize,
+                            measure_from_json, measure_to_json, push_forward,
+                            restrict, scale, total_mass, tv_distance)
 
 # dyadic coordinates/weights add exactly in float64, so "preserved exactly"
 # really means exactly in these tests
@@ -143,10 +142,21 @@ def test_zero_weight_atoms_pruned_on_canonicalization():
     assert pruned.n_atoms == 1
 
 
-def test_canonical_form_wrapper():
-    cf = canonical_form(DiscreteMeasure.from_atoms(1, [([0.0], 1.0), ([1e-12], 1.0)]))
-    assert cf.quantum == DEFAULT_QUANTUM
-    assert cf.measure.n_atoms == 1
+def test_canonicalize_lattice_range():
+    merged = canonicalize(DiscreteMeasure.from_atoms(1, [([0.0], 1.0), ([1e-12], 1.0)]))
+    assert merged.n_atoms == 1 and merged.weights[0] == 2.0
+    # 2^63 lattice steps of the default quantum 1e-9 end near 9.2e9; beyond,
+    # int64 keys would wrap and merge distant atoms into one
+    far = DiscreteMeasure.from_atoms(1, [([1e10], 1.0), ([-3e10], 1.0)])
+    with pytest.raises(ValueError, match="int64 lattice"):
+        canonicalize(far)
+    with pytest.raises(ValueError, match="int64 lattice"):
+        tv_distance(far, DiscreteMeasure.dirac(0.0))
+    assert canonicalize(far, quantum=1e-6).n_atoms == 2
+    near = DiscreteMeasure.from_atoms(1, [([9e9], 1.0), ([-9e9], 2.0)])
+    c = canonicalize(near)
+    assert np.array_equal(c.positions[:, 0], np.rint(np.array([-9e9, 9e9]) / 1e-9) * 1e-9)
+    assert np.array_equal(c.weights, [2.0, 1.0])
 
 
 def test_json_round_trip_bit_exact():

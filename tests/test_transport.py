@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gwass.measures import DiscreteMeasure, total_mass
+from gwass.measures import DiscreteMeasure, scale, total_mass
 from gwass.transport import (MassMismatchError, TransportPlan, cost_matrix,
-                             wasserstein, wasserstein_scaling_check)
+                             wasserstein)
 
 
 def vertex_oracle(cost, supply, demand):
@@ -80,19 +80,24 @@ def test_scaling_law_closed_form():
     mu = DiscreteMeasure.dirac(0.0, 4.0)
     nu = DiscreteMeasure.dirac(3.0, 4.0)
     assert wasserstein(mu, nu, 2.0).value == pytest.approx(6.0, abs=1e-12)
-    lhs, rhs = wasserstein_scaling_check(DiscreteMeasure.dirac(0.0),
-                                         DiscreteMeasure.dirac(3.0), 4.0, 2.0)
-    assert lhs == pytest.approx(6.0, abs=1e-12)
-    assert rhs == pytest.approx(6.0, abs=1e-12)
+    # W_p(k mu, k nu) = k^(1/p) W_p(mu, nu) with k = 4, p = 2
+    unit = wasserstein(DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(3.0), 2.0).value
+    assert 4.0 ** 0.5 * unit == pytest.approx(6.0, abs=1e-12)
 
 
 def test_scaling_check_edge_cases():
-    mu, nu = DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0)
-    assert wasserstein_scaling_check(mu, nu, 0.0, 2.0) == (0.0, 0.0)
-    lhs, rhs = wasserstein_scaling_check(mu, nu, 1.0, 2.0)
-    assert lhs == rhs
+    mu = DiscreteMeasure.from_atoms(1, [([0.0], 1.0), ([1.0], 2.0)])
+    nu = DiscreteMeasure.from_atoms(1, [([0.5], 2.0), ([3.0], 1.0)])
+    base = wasserstein(mu, nu, 2.0).value
+    assert wasserstein(scale(mu, 1.0), scale(nu, 1.0), 2.0).value == base
+    for k in (0.25, 3.0):
+        scaled = wasserstein(scale(mu, k), scale(nu, k), 2.0).value
+        assert scaled == pytest.approx(k ** 0.5 * base, rel=1e-9)
+    # k = 0 leaves no mass to couple; a negative k is not a measure
+    with pytest.raises(MassMismatchError):
+        wasserstein(scale(mu, 0.0), scale(nu, 0.0), 2.0)
     with pytest.raises(ValueError):
-        wasserstein_scaling_check(mu, nu, -1.0, 2.0)
+        scale(mu, -1.0)
 
 
 def test_mass_mismatch_rejected():
