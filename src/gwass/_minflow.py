@@ -5,9 +5,9 @@ Three primitives live here:
 * dense transportation LPs (equality and inequality marginals) solved with
   HiGHS through ``scipy.optimize.linprog``, with the KKT optimality
   certificate re-verified from the returned duals;
-* a sparse path-graph LP for the 1-d, p=1 case, where the cost |x - y|
-  decomposes along the line and the problem shrinks from n*m arc variables
-  to O(n + m) flux variables;
+* an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
+  dual on the sorted atoms, whose optimal dual potential yields the kept
+  masses by complementary slackness and certifies them;
 * a successive-shortest-path solver that traces the exact piecewise-linear
   value of partial transport as a function of the transported mass, used by
   the p > 1 solver.
@@ -15,6 +15,7 @@ Three primitives live here:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,13 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 CERT_TOL = 1e-7
+#: Slack of the 1-d line solver's tie tests, relative to a for dual
+#: potentials and to the total mass for fluxes.
+LINE_TOL = 1e-9
+#: Slopes of the line solver's value functions are sums of net masses; a
+#: slope below this fraction of the total net mass sum |w_i - u_i| counts as
+#: zero, so rounding residues of cancelled slopes leave no breakpoints.
+SLOPE_TOL = 1e-14
 
 
 class OptimalityCertificateError(RuntimeError):
@@ -125,54 +133,197 @@ def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: n
 def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
                           tgt_pos: np.ndarray, tgt_w: np.ndarray,
                           a: float, b: float):
-    """1-d, p=1 joint keep/transport solve on the path graph of atom positions.
+    """Exact 1-d, p=1 generalized distance from the flat-norm dual chain DP.
 
-    Minimizes  a*(unkept source) + a*(unkept target) + b * W_1(kept, kept)
-    using variables: kept mass per atom and signed flux across each gap
-    between consecutive positions.  For cost |x - y| the transport term of
-    any coupling equals the integral of |flux| along the line, so this LP is
-    an exact reformulation with O(n + m) variables instead of n*m arcs.
+    The primal minimizes  a*(unkept source) + a*(unkept target)
+    + b * W_1(kept, kept); its dual is  max sum_i c_i f_i  over the merged,
+    sorted atom positions with net mass c_i = w_i - u_i, subject to
+    |f_i| <= a and |f_{i+1} - f_i| <= b * gap_i.  The dual is solved by a
+    chain DP over concave piecewise-linear value functions
+    (:func:`_dual_chain_dp`); the kept masses are rebuilt from the optimal
+    dual by complementary slackness (:func:`_slack_witness`).  The dual f
+    certifies the result: it is checked feasible, and its value must match
+    both the DP maximum and the cost of the primal witness, or
+    :class:`OptimalityCertificateError` is raised.
 
     Returns ``(kept_src, kept_tgt, value)``.
     """
-    n, m = src_w.size, tgt_w.size
-    nodes = np.unique(np.concatenate([src_pos, tgt_pos]))
-    node_of_src = np.searchsorted(nodes, src_pos)
-    node_of_tgt = np.searchsorted(nodes, tgt_pos)
-    n_nodes = nodes.size
-    n_gaps = n_nodes - 1
-    gap_len = np.diff(nodes)
+    n = src_w.size
+    nodes, node_of = np.unique(np.concatenate([src_pos, tgt_pos]), return_inverse=True)
+    w_node = np.bincount(node_of[:n], weights=src_w, minlength=nodes.size)
+    u_node = np.bincount(node_of[n:], weights=tgt_w, minlength=nodes.size)
+    net = w_node - u_node
+    step = b * np.diff(nodes)
+    mass = float(np.sum(w_node) + np.sum(u_node))
+    value, argmax = _dual_chain_dp(net.tolist(), step.tolist(), a,
+                                   SLOPE_TOL * float(np.sum(np.abs(net))))
+    f = _backtrack(argmax, step.tolist())
 
-    # variable layout: [k (n), l (m), f+ (gaps), f- (gaps)]
-    n_var = n + m + 2 * n_gaps
-    gaps = np.arange(n_gaps)
-    rows = np.concatenate([node_of_src, node_of_tgt,
-                           gaps, gaps + 1, gaps, gaps + 1])
-    cols = np.concatenate([np.arange(n), n + np.arange(m),
-                           n + m + gaps, n + m + gaps,
-                           n + m + n_gaps + gaps, n + m + n_gaps + gaps])
-    data = np.concatenate([np.ones(n), -np.ones(m),
-                           -np.ones(n_gaps), np.ones(n_gaps),      # f+ leaves g, enters g+1
-                           np.ones(n_gaps), -np.ones(n_gaps)])     # f- reversed
-    a_mat = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_var))
-    rhs = np.zeros(n_nodes)
+    tol_f = LINE_TOL * a
+    if (np.max(np.abs(f)) > a + tol_f
+            or np.any(np.abs(np.diff(f)) > step + tol_f)):
+        raise OptimalityCertificateError("dual potential of the line solve is infeasible")
+    dual = float(np.dot(net, f))
+    cert_tol = CERT_TOL * a * mass
+    if abs(dual - value) > cert_tol:
+        raise OptimalityCertificateError(
+            f"dual potential value {dual} disagrees with the chain DP maximum {value}")
 
-    c = np.concatenate([
-        np.full(n, -a), np.full(m, -a),
-        b * gap_len, b * gap_len,
-    ])
-    upper = np.concatenate([src_w, tgt_w, np.full(2 * n_gaps, np.inf)])
-    bounds = np.column_stack([np.zeros(n_var), upper])
-    res = linprog(c, A_eq=a_mat, b_eq=rhs, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"line transport solve failed: {res.message}")
-    mass_scale = float(np.sum(src_w) + np.sum(tgt_w))
-    _check_certificate(c, a_mat, rhs, ["="] * n_nodes, res.x, res.eqlin.marginals,
-                       bounds_upper=upper, scale=max(a, b) * max(mass_scale, 1.0))
-    kept_src = np.clip(res.x[:n], 0.0, src_w)
-    kept_tgt = np.clip(res.x[n:n + m], 0.0, tgt_w)
-    value = a * (np.sum(src_w) + np.sum(tgt_w)) + float(res.fun)
+    removed_w, removed_u, flux = _slack_witness(net, w_node, u_node, step, argmax, f, a,
+                                                tol_f, LINE_TOL * mass)
+    primal = a * float(np.sum(removed_w) + np.sum(removed_u)) + float(np.dot(step, np.abs(flux)))
+    if abs(primal - dual) > cert_tol:
+        raise OptimalityCertificateError(
+            f"primal witness cost {primal} disagrees with the dual value {dual}")
+    keep_w = np.divide(w_node - removed_w, w_node, out=np.zeros_like(w_node), where=w_node > 0)
+    keep_u = np.divide(u_node - removed_u, u_node, out=np.zeros_like(u_node), where=u_node > 0)
+    kept_src = np.clip(src_w * keep_w[node_of[:n]], 0.0, src_w)
+    kept_tgt = np.clip(tgt_w * keep_u[node_of[n:]], 0.0, tgt_w)
     return kept_src, kept_tgt, value
+
+
+def _dual_chain_dp(net, step, a, tol_c):
+    """Maximize sum_i net_i f_i over |f_i| <= a, |f_{i+1} - f_i| <= step_i.
+
+    V_0(f) = net_0 f and V_i(f) = net_i f + max_{|g - f| <= step_{i-1}} V_{i-1}(g)
+    on [-a, a] are concave and piecewise linear.  Each is held as the slope
+    ``mid`` of the segment that contains the tracked argmax ``m`` plus two
+    deques of breakpoints (stored position, slope drop), ``left`` below the
+    segment and ``right`` above it, each sorted ascending with a lazy
+    position offset.  Invariant after each step: mid > 0 puts m at the
+    segment's upper end, mid < 0 at its lower end, mid == 0 anywhere on it.
+
+    Returns ``(max V_N, [argmax of V_i for each i])``.
+    """
+    left, right = deque(), deque()
+    off_l = off_r = 0.0
+    mid = m = val = 0.0
+    argmax = []
+    for i, c in enumerate(net):
+        if i:
+            # dilation: split at m, lower part moves down and upper part up
+            # by the step, leaving a flat segment of slope 0 around m
+            s = step[i - 1]
+            if mid > 0:
+                left.append((m - off_l, mid))
+                if right:
+                    rest = right[0][1] - mid
+                    if rest > tol_c:
+                        right[0] = (right[0][0], rest)
+                    else:
+                        right.popleft()
+            elif mid < 0:
+                right.appendleft((m - off_r, -mid))
+                if left:
+                    rest = left[-1][1] + mid
+                    if rest > tol_c:
+                        left[-1] = (left[-1][0], rest)
+                    else:
+                        left.pop()
+            mid = 0.0
+            off_l -= s
+            off_r += s
+            # clip to [-a, a]: breakpoints that left the domain go
+            while left and left[0][0] + off_l <= -a:
+                left.popleft()
+            while right and right[-1][0] + off_r >= a:
+                right.pop()
+            # a breakpoint leaves the domain once its offset has moved 2a,
+            # so each is rebased at most once; offsets, and with them the
+            # rounding of stored positions, stay of order a
+            if off_l < -4 * a:
+                left = deque((pos + off_l, drop) for pos, drop in left)
+                off_l = 0.0
+            if off_r > 4 * a:
+                right = deque((pos + off_r, drop) for pos, drop in right)
+                off_r = 0.0
+        # add net_i f, then walk m to the new argmax
+        val += c * m
+        mid += c
+        if mid > tol_c:
+            shift = off_r - off_l
+            while right:
+                pos, drop = right[0]
+                hi = pos + off_r
+                val += mid * (hi - m)
+                m = hi
+                if drop >= mid - tol_c:
+                    break
+                right.popleft()
+                left.append((pos + shift, drop))
+                mid -= drop
+            else:
+                val += mid * (a - m)
+                m = a
+        elif mid < -tol_c:
+            shift = off_l - off_r
+            while left:
+                pos, drop = left[-1]
+                lo = pos + off_l
+                val += mid * (lo - m)
+                m = lo
+                if drop >= -mid - tol_c:
+                    break
+                left.pop()
+                right.appendleft((pos + shift, drop))
+                mid += drop
+            else:
+                val += mid * (-a - m)
+                m = -a
+        else:
+            mid = 0.0
+        argmax.append(m)
+    return val, argmax
+
+
+def _backtrack(argmax, step):
+    """Optimal dual potential: f_N = argmax V_N, then clip each earlier argmax
+    into the window the next potential allows."""
+    f = argmax[:]
+    for i in range(len(f) - 1, 0, -1):
+        s = step[i - 1]
+        f[i - 1] = min(max(argmax[i - 1], f[i] - s), f[i] + s)
+    return np.array(f)
+
+
+def _slack_witness(net, w_node, u_node, step, argmax, f, a, tol_f, tol_m):
+    """Primal kept masses complementary to the optimal dual potential ``f``.
+
+    Source mass may be removed only where f = a, target mass only where
+    f = -a, and the flux F_g across gap g may be positive only where f
+    descends by the full step to the right, negative only where it rises by
+    it, and zero elsewhere.  A forward max-plus sweep gives, per gap, the
+    interval of fluxes that the nodes to its left can feed under these
+    rules; a backward pass picks a flux in each interval, keeping mass where
+    it can.  Returns ``(removed source, removed target, flux)`` per node/gap.
+    """
+    can_w = np.where(f >= a - tol_f, w_node, 0.0)
+    can_u = np.where(f <= -a + tol_f, u_node, 0.0)
+    # a gap is tight where the backtrack clipped the argmax onto a window edge
+    prev = np.array(argmax[:-1])
+    flux_lo = np.where(prev <= f[1:] - step + tol_f, -np.inf, 0.0)
+    flux_hi = np.where(prev >= f[1:] + step - tol_f, np.inf, 0.0)
+    flux_lo = np.append(flux_lo, 0.0)       # nothing crosses past the last node
+    flux_hi = np.append(flux_hi, 0.0)
+    # F_i in (F_{i-1} + [net_i - can_w_i, net_i + can_u_i]) cap [flux_lo_i, flux_hi_i]
+    s_lo = np.cumsum(net - can_w)
+    s_hi = np.cumsum(net + can_u)
+    lo = s_lo + np.maximum.accumulate(np.maximum(flux_lo - s_lo, 0.0))
+    hi = s_hi + np.minimum.accumulate(np.minimum(flux_hi - s_hi, 0.0))
+    if np.max(lo - hi) > tol_m:
+        raise OptimalityCertificateError(
+            "no primal witness satisfies complementary slackness with the line dual")
+    lo, hi, net_l, floor = lo.tolist(), hi.tolist(), net.tolist(), flux_lo.tolist()
+    flux = [0.0] * len(net_l)
+    for i in range(len(net_l) - 1, 0, -1):
+        # where rounding left the interval empty, the outer max still keeps
+        # the flux on its allowed side; the node balance absorbs the rest
+        flux[i - 1] = max(min(max(flux[i] - net_l[i], lo[i - 1]), hi[i - 1]), floor[i - 1])
+    flux = np.array(flux)
+    excess = net - np.diff(flux, prepend=0.0)     # removed source minus removed target
+    removed_w = np.clip(excess, 0.0, can_w)
+    removed_u = np.clip(-excess, 0.0, can_u)
+    return removed_w, removed_u, flux[:-1]
 
 
 def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,

@@ -165,7 +165,13 @@ def cmd_simulate(args) -> int:
         raise InputError("invalid config fields:\n  " + "\n  ".join(problems))
 
     init = cfg["initial_measure"]
-    mu0 = _load(init) if isinstance(init, str) else measure_from_json(init)
+    if isinstance(init, str):
+        mu0 = _load(init)
+    else:
+        try:
+            mu0 = measure_from_json(init)
+        except ValueError as exc:
+            raise InputError(f"invalid initial_measure: {exc}") from exc
     p_cfg = cfg.get("params", {})
     try:
         params = GwParams(p_cfg.get("a", 1.0), p_cfg.get("b", 1.0), p_cfg.get("p", 1.0))
@@ -177,7 +183,9 @@ def cmd_simulate(args) -> int:
     if cfg.get("dependence"):
         levels.append(int(cfg["dependence"].get("level", cfg["level"])))
     top_level = max(levels)
-    max_level = int(cfg.get("max_level", 10))
+    max_level = cfg.get("max_level", 10)
+    if not isinstance(max_level, int) or max_level < 0:
+        raise InputError(f"max_level must be a nonnegative integer, got {max_level!r}")
     if top_level > max_level:
         raise InputError(f"level {top_level} exceeds max_level {max_level}; "
                          "raise max_level in the config explicitly")

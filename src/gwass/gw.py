@@ -15,8 +15,10 @@ Three exact solver paths:
   mass, the objective is a(|mu|+|nu|) + sum (b*d_ij - 2a) g_ij over
   couplings with inequality marginals, and only arcs with b*d < 2a can
   carry flow, which keeps the LP finite and exact.
-* p = 1 in one dimension: the same LP reformulated on the sorted atom line
-  (O(n+m) variables), used by the particle-dynamics experiments where atom
+* p = 1 in one dimension: the flat-norm dual, max sum f d(mu - nu) over
+  |f| <= a and Lip f <= b, solved by a chain DP on the sorted atoms; the
+  kept masses follow from the optimal f by complementary slackness, and f
+  certifies them.  Used by the particle-dynamics experiments, where atom
   counts grow into the thousands.
 * p > 1: the transported-mass parametrization.  T(m), the minimal coupling
   cost at transported mass m, is convex piecewise linear and is traced
@@ -172,7 +174,7 @@ def _gw_dense_p1(mu, nu, params):
 def _gw_line_p1(mu, nu, params):
     x = mu.positions[:, 0]
     y = nu.positions[:, 0]
-    kept_w, kept_u, lp_value = _minflow.solve_line_partial_w1(
+    kept_w, kept_u, dual_value = _minflow.solve_line_partial_w1(
         x, mu.weights, y, nu.weights, params.a, params.b)
     scale = max(float(kept_w.sum() + kept_u.sum()), 1.0)
     kept_w[kept_w <= 1e-13 * scale] = 0.0
@@ -190,7 +192,7 @@ def _gw_line_p1(mu, nu, params):
             final.append((i, j, f))
     kept_w = np.clip(kept_w, 0.0, None)
     kept_u = np.clip(kept_u, 0.0, None)
-    return _assemble(mu, nu, params, kept_w, kept_u, final, solver_value=lp_value)
+    return _assemble(mu, nu, params, kept_w, kept_u, final, solver_value=dual_value)
 
 
 def _gw_parametric(mu, nu, params):

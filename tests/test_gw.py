@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwass.gw import (GwParams, _gw_dense_p1, _gw_parametric,
                       gw_brute_force, gw_distance)
@@ -152,6 +154,33 @@ def test_metric_axioms_random():
         k = float(rng.uniform(0, 3))
         g_k = gw_distance(scale(mu, k), scale(nu, k), params).value
         assert g_k <= max(k ** (1 / p), k) * g_mn + 1e-9 * max(1.0, g_k)
+
+
+@st.composite
+def scale_extreme_line_case(draw):
+    """1-d pair with weights in 1e-9..1e9, coordinates up to 1e6 and b/a in 1e-6..1e6."""
+    def measure():
+        n = draw(st.integers(1, 8))
+        xs = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        logs = draw(st.lists(st.floats(-9, 9), min_size=n, max_size=n))
+        return DiscreteMeasure(1, xs, 10.0 ** np.array(logs))
+    a = 10.0 ** draw(st.floats(-3, 3))
+    return measure(), measure(), GwParams(a, a * 10.0 ** draw(st.floats(-6, 6)), 1.0)
+
+
+@given(scale_extreme_line_case())
+@settings(max_examples=500, deadline=None)
+def test_line_p1_at_scale_extremes_is_bounded_or_loud(case):
+    mu, nu, params = case
+    try:
+        forward = gw_distance(mu, nu, params).value
+        backward = gw_distance(nu, mu, params).value
+    except RuntimeError:
+        return      # a failed certificate or recomposition check is loud, not silent
+    a, wm, wn = params.a, total_mass(mu), total_mass(nu)
+    slack = 1e-9 * a * (wm + wn)
+    assert a * abs(wm - wn) - slack <= forward <= a * (wm + wn) + slack
+    assert abs(forward - backward) <= slack
 
 
 def test_identity_of_indiscernibles():

@@ -203,7 +203,9 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change", [{"level": 11}, {"level": 5, "max_level": 4},
-                                    {"params": {"a": 0}}, {"params": {"a": "x"}}])
+                                    {"params": {"a": 0}}, {"params": {"a": "x"}},
+                                    {"initial_measure": {"dim": 1, "atoms": [{"x": [0.0]}]}},
+                                    {"max_level": "ten"}])
 def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
     mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
     config = {

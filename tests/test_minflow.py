@@ -1,7 +1,91 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from gwass._minflow import parametric_partial_transport, solve_transportation
+from gwass._minflow import (_check_certificate, monotone_coupling,
+                            parametric_partial_transport, solve_line_partial_w1,
+                            solve_transportation)
+
+
+def line_lp_oracle(src_pos, src_w, tgt_pos, tgt_w, a, b):
+    """The 1-d, p=1 distance as a HiGHS LP on the path graph of the atoms.
+
+    Variables: kept mass per atom and a forward and a backward flux per gap
+    between consecutive positions.  For cost |x - y| the transport term of
+    any coupling equals the integral of |flux| along the line, so this LP
+    is an exact reformulation; its optimum is certified from the duals.
+    """
+    n, m = src_w.size, tgt_w.size
+    nodes = np.unique(np.concatenate([src_pos, tgt_pos]))
+    node_of_src = np.searchsorted(nodes, src_pos)
+    node_of_tgt = np.searchsorted(nodes, tgt_pos)
+    n_nodes = nodes.size
+    n_gaps = n_nodes - 1
+    gaps = np.arange(n_gaps)
+    # variable layout: [k (n), l (m), f+ (gaps), f- (gaps)]
+    n_var = n + m + 2 * n_gaps
+    rows = np.concatenate([node_of_src, node_of_tgt, gaps, gaps + 1, gaps, gaps + 1])
+    cols = np.concatenate([np.arange(n), n + np.arange(m),
+                           n + m + gaps, n + m + gaps,
+                           n + m + n_gaps + gaps, n + m + n_gaps + gaps])
+    data = np.concatenate([np.ones(n), -np.ones(m),
+                           -np.ones(n_gaps), np.ones(n_gaps),
+                           np.ones(n_gaps), -np.ones(n_gaps)])
+    a_mat = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_var))
+    rhs = np.zeros(n_nodes)
+    gap_len = np.diff(nodes)
+    c = np.concatenate([np.full(n, -a), np.full(m, -a), b * gap_len, b * gap_len])
+    upper = np.concatenate([src_w, tgt_w, np.full(2 * n_gaps, np.inf)])
+    res = linprog(c, A_eq=a_mat, b_eq=rhs, bounds=np.column_stack([np.zeros(n_var), upper]),
+                  method="highs")
+    assert res.status == 0, res.message
+    mass = float(np.sum(src_w) + np.sum(tgt_w))
+    _check_certificate(c, a_mat, rhs, ["="] * n_nodes, res.x, res.eqlin.marginals,
+                       bounds_upper=upper, scale=max(a, b) * max(mass, 1.0))
+    return a * mass + float(res.fun)
+
+
+def random_line_instance(rng):
+    """Seeded 1-d instance mixing lattice positions, shared sites and b*d = 2a ties."""
+    n, m = (int(k) for k in rng.integers(1, 13, 2))
+    a = float(rng.choice([0.5, 1.0, 2.0]))
+    b = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+    x = rng.uniform(-3, 3, n)
+    y = rng.uniform(-3, 3, m)
+    kind = int(rng.integers(4))
+    if kind >= 1:           # lattice of pitch a/(2b): distances 2a/b occur exactly
+        pitch = a / (2 * b)
+        x = np.round(x / pitch) * pitch
+        y = np.round(y / pitch) * pitch
+    if kind >= 2:           # some source and target atoms share a position
+        share = rng.random(m) < 0.5
+        y[share] = rng.choice(x, int(share.sum()))
+    if kind == 3:           # exact ties: targets 2a/b to the right of sources
+        k = min(n, m)
+        y[:k] = x[:k] + 2 * a / b
+    w = rng.uniform(0.05, 2, n)
+    u = rng.uniform(0.05, 2, m)
+    if rng.random() < 0.3:
+        w = np.round(w * 4) / 4 + 0.25
+        u = np.round(u * 4) / 4 + 0.25
+    return x, w, y, u, a, b
+
+
+def test_line_solver_matches_path_graph_lp():
+    rng = np.random.default_rng(2016)
+    for _ in range(600):
+        x, w, y, u, a, b = random_line_instance(rng)
+        kept_w, kept_u, value = solve_line_partial_w1(x, w, y, u, a, b)
+        assert value == pytest.approx(line_lp_oracle(x, w, y, u, a, b), rel=1e-9, abs=1e-12)
+        assert np.all(kept_w >= 0) and np.all(kept_w <= w)
+        assert np.all(kept_u >= 0) and np.all(kept_u <= u)
+        # the kept parts are a witness: removal plus monotone transport recomposes
+        assert kept_w.sum() == pytest.approx(kept_u.sum(), rel=1e-12, abs=1e-12)
+        plan = monotone_coupling(x, kept_w, y, kept_u)
+        transport = sum(f * abs(x[i] - y[j]) for i, j, f in plan)
+        recomposed = a * (w.sum() - kept_w.sum()) + a * (u.sum() - kept_u.sum()) + b * transport
+        assert recomposed == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
 def random_network(rng, equal_mass):
