@@ -18,7 +18,7 @@ def main():
     print(f"{'x':>5} {'computed':>10} {'min(2a,bx)':>11}  strategy")
     for x in (0.5, 1.0, 1.9, 2.0, 2.1, 4.0):
         r = gw_distance(DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(x), params)
-        strategy = "remove both" if not r.plan.entries else "transport"
+        strategy = "remove both" if r.plan.flows.size == 0 else "transport"
         print(f"{x:5.1f} {r.value:10.6f} {min(2.0, x):11.6f}  {strategy}")
     print("\nAt x = 2 the two strategies tie; the solver settles the tie by")
     print("removing, so the witness is deterministic while the value is unchanged.")

@@ -9,14 +9,14 @@ equations whose velocity field and source both depend on the measure.
 
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, add, canonicalize,
                        load_measure, measure_from_json, measure_to_json,
-                       push_forward, restrict, save_measure, scale,
+                       push_forward, save_measure, scale,
                        total_mass, tv_distance)
 from .transport import MassMismatchError, TransportPlan, WpResult, wasserstein
 from .gw import (GwParams, GwResult, gw_brute_force, gw_distance,
                  levy_prokhorov_1d)
 from .flows import (FieldConstants, FlowConfig, VectorFieldModel,
-                    build_velocity_model, evaluate_field,
-                    flow_estimate_report, flow_pushforward)
+                    build_velocity_model, flow_estimate_report,
+                    flow_pushforward)
 from .dynamics import (SourceModel, Trajectory, build_source_model,
                        cauchy_table, continuous_dependence_check,
                        reference_problem, sample_and_hold)
@@ -24,12 +24,12 @@ from .dynamics import (SourceModel, Trajectory, build_source_model,
 __all__ = [
     "DEFAULT_QUANTUM", "DiscreteMeasure", "add", "canonicalize",
     "load_measure", "measure_from_json", "measure_to_json", "push_forward",
-    "restrict", "save_measure", "scale", "total_mass", "tv_distance",
+    "save_measure", "scale", "total_mass", "tv_distance",
     "MassMismatchError", "TransportPlan", "WpResult", "wasserstein",
     "GwParams", "GwResult", "gw_brute_force", "gw_distance",
     "levy_prokhorov_1d",
     "FieldConstants", "FlowConfig", "VectorFieldModel",
-    "build_velocity_model", "evaluate_field", "flow_estimate_report",
+    "build_velocity_model", "flow_estimate_report",
     "flow_pushforward",
     "SourceModel", "Trajectory", "build_source_model", "cauchy_table",
     "continuous_dependence_check", "reference_problem", "sample_and_hold",

@@ -7,7 +7,9 @@ Three primitives live here:
   certificate re-verified from the returned duals;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
-  masses by complementary slackness and certifies them;
+  masses by complementary slackness and certifies them; the kept masses
+  are coupled by the monotone (quantile) coupling, which returns its arcs
+  as (rows, cols, flows) arrays;
 * a successive-shortest-path solver that traces the exact piecewise-linear
   value of partial transport as a function of the transported mass, used by
   the p > 1 solver.
@@ -119,15 +121,23 @@ def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: n
         return flows, 0.0
     full = _marginal_matrix(n, m).tocsc()
     a_mat = full[:, arc_idx].tocsr()
+    # HiGHS's feasibility tolerances are absolute, 1e-7 by default, so a
+    # basis may overdraw an atom, or cost more than the optimum, by about
+    # that much per unit.  Costs scaled to [-1, 1] and both tolerances cut
+    # to 1e-10 shrink these errors a thousandfold.
     rhs = np.concatenate([supply, demand])
     c = cost.ravel()[arc_idx]
-    res = linprog(c, A_ub=a_mat, b_ub=rhs, bounds=(0, None), method="highs")
+    c_scale = float(np.max(np.abs(c))) or 1.0
+    c = c / c_scale
+    res = linprog(c, A_ub=a_mat, b_ub=rhs, bounds=(0, None), method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"partial transport solve failed: {res.message}")
     _check_certificate(c, a_mat, rhs, ["<"] * (n + m), res.x, res.ineqlin.marginals,
-                       scale=float(np.max(np.abs(c), initial=1.0)) * float(np.sum(supply) + np.sum(demand)))
+                       scale=float(np.sum(supply) + np.sum(demand)))
     flows.ravel()[arc_idx] = res.x
-    return flows, float(res.fun)
+    return flows, float(res.fun) * c_scale
 
 
 def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
@@ -328,18 +338,21 @@ def _slack_witness(net, w_node, u_node, step, argmax, f, a, tol_f, tol_m):
 
 def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,
                       tgt_pos: np.ndarray, tgt_w: np.ndarray):
-    """Quantile coupling of two equal-mass 1-d measures with sorted supports.
+    """Quantile coupling of two equal-mass 1-d measures.
 
     The monotone plan is optimal for every convex cost |x - y|^p, p >= 1.
-    Returns a list of (source index, target index, flow) triples.
+    Both sides are walked in position order, subtracting each matched flow
+    from the two remainders, so every flow is exact to the rounding of its
+    own atoms.  Returns ``(rows, cols, flows)`` arrays: arc k moves
+    ``flows[k]`` from source atom ``rows[k]`` to target atom ``cols[k]``.
     """
-    order_s = np.argsort(src_pos, kind="stable")
-    order_t = np.argsort(tgt_pos, kind="stable")
-    entries = []
+    order_s = np.argsort(src_pos, kind="stable").tolist()
+    order_t = np.argsort(tgt_pos, kind="stable").tolist()
+    rem_s = np.asarray(src_w, dtype=float)[order_s].tolist()
+    rem_t = np.asarray(tgt_w, dtype=float)[order_t].tolist()
+    rows, cols, flows = [], [], []
     i = j = 0
-    rem_s = src_w[order_s].astype(float).copy()
-    rem_t = tgt_w[order_t].astype(float).copy()
-    while i < rem_s.size and j < rem_t.size:
+    while i < len(rem_s) and j < len(rem_t):
         if rem_s[i] <= 0:
             i += 1
             continue
@@ -347,14 +360,17 @@ def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,
             j += 1
             continue
         f = min(rem_s[i], rem_t[j])
-        entries.append((int(order_s[i]), int(order_t[j]), float(f)))
+        rows.append(order_s[i])
+        cols.append(order_t[j])
+        flows.append(f)
         rem_s[i] -= f
         rem_t[j] -= f
         if rem_s[i] <= 1e-15 * (1.0 + f):
             rem_s[i] = 0.0
         if rem_t[j] <= 1e-15 * (1.0 + f):
             rem_t[j] = 0.0
-    return entries
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(flows, dtype=float))
 
 
 @dataclass(frozen=True)

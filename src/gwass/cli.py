@@ -56,7 +56,7 @@ def _write_plan_csv(plan, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "flow"])
-        for i, j, flow in plan.entries:
+        for i, j, flow in plan.as_triples():
             writer.writerow([i, j, repr(flow)])
 
 
@@ -199,10 +199,13 @@ def cmd_simulate(args) -> int:
     ode_step = cfg.get("ode_step", t_final / (1 << top_level))
     flow_cfg = FlowConfig(float(ode_step))
 
+    try:
+        traj = sample_and_hold(mu0, velocity, source, t_final, cfg["level"],
+                               flow_cfg, max_level)
+    except ValueError as exc:
+        raise InputError(f"invalid run: {exc}") from exc
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj = sample_and_hold(mu0, velocity, source, t_final, cfg["level"],
-                           flow_cfg, max_level)
     snapshot_files = []
     for n, (t, snap) in enumerate(traj.snapshots):
         name = f"snapshot_{n:04d}.json"

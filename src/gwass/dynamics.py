@@ -31,7 +31,7 @@ import numpy as np
 from .flows import FlowConfig, VectorFieldModel, build_velocity_model, flow_pushforward
 from .gw import GwParams, gw_distance
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, add, canonicalize,
-                       scale, total_mass)
+                       scale, support_radius, total_mass)
 
 
 # --- source models -----------------------------------------------------------
@@ -83,7 +83,6 @@ class SourceModel:
     Q: float
 
     def __post_init__(self):
-        from .measures import support_radius
         if support_radius(self.quadrature_cloud) > self.R + 1e-12:
             raise ValueError("quadrature cloud exceeds the declared support radius")
 
@@ -195,6 +194,10 @@ def sample_and_hold(mu0: DiscreteMeasure, velocity: VectorFieldModel,
     merge; ``max_level`` caps the memory footprint since atom counts grow
     linearly with the step count whenever the velocity moves old deposits
     off the quadrature sites.
+
+    A base field whose sup bound holds only on a ball (``sup_radius``, as
+    for the linear field) is checked on every snapshot: an atom outside
+    the ball raises ValueError, since the model constants no longer hold.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -216,6 +219,13 @@ def sample_and_hold(mu0: DiscreteMeasure, velocity: VectorFieldModel,
         deposit = scale(source.evaluate(current), dt)
         current = canonicalize(add(moved, deposit), quantum)
         snaps.append(((n + 1) * dt, current))
+    radius = getattr(velocity.base, "sup_radius", None)
+    if radius is not None:
+        for t, snap in snaps:
+            if support_radius(snap) > radius:
+                raise ValueError(
+                    f"at t = {t} an atom lies at |x| = {support_radius(snap)}, outside the "
+                    f"radius {radius} on which the base field's sup bound holds")
     return Trajectory(level, T, tuple(snaps), velocity, source, cfg)
 
 

@@ -286,12 +286,6 @@ def build_velocity_model(config: dict, params: GwParams, mass_cap: float,
     return VectorFieldModel(base, kernel, constants, mass_cap)
 
 
-def evaluate_field(model: VectorFieldModel, mu: DiscreteMeasure, x) -> np.ndarray:
-    """v[mu] at a single point x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    return model.make_evaluator(mu)(x)[0]
-
-
 def flow_pushforward(model: VectorFieldModel, carrier: DiscreteMeasure,
                      frozen: DiscreteMeasure, t: float,
                      cfg: FlowConfig = FlowConfig()) -> DiscreteMeasure:

@@ -29,18 +29,25 @@ Three exact solver paths:
 
 Ties between transporting and removing are broken toward removal, so the
 witness decomposition is deterministic; the value is unaffected.
+
+Every path, including the closed forms for an empty side and for one atom
+on each side, hands its plan arcs as (rows, cols, flows) arrays to one
+witness builder, ``_assemble``.  It drops rounding residues by the rule of
+:data:`transport.FLOW_EPS`, takes the kept sub-measures from the arcs,
+recomposes the value once through :meth:`GwResult.value_from_parts` and
+checks it against the solver's optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _minflow
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, canonicalize,
                        measure_to_json, total_mass)
-from .transport import TransportPlan, cost_matrix
+from .transport import TransportPlan, _carries_flow, cost_matrix
 
 #: Relative slack used to detect exact cost ties (b*d == 2a).
 TIE_EPS = 1e-12
@@ -104,38 +111,37 @@ class GwResult:
         }
 
 
-def _removal_only(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams) -> GwResult:
-    w, u = total_mass(mu), total_mass(nu)
-    empty_plan = TransportPlan((), DiscreteMeasure.zero(mu.dim), DiscreteMeasure.zero(nu.dim))
-    return GwResult(params.a * (w + u), DiscreteMeasure.zero(mu.dim),
-                    DiscreteMeasure.zero(nu.dim), empty_plan, w, u)
+def _assemble(mu, nu, params, rows, cols, flows, solver_value):
+    """Build the GwResult of a solve from its plan arcs on the canonical atoms.
 
-
-def _assemble(mu, nu, params, kept_w, kept_u, arc_entries, solver_value=None):
-    """Build a GwResult from kept weights on canonical atoms and plan arcs.
-
-    ``arc_entries`` index the canonical atoms; they are reindexed onto the
-    kept sub-measures so the plan's marginals equal the kept weights.  The
-    value is recomposed from the witness parts; when the solver's own
-    optimum is passed in, the two routes must agree.
+    Every solver path ends here.  Arc k moves ``flows[k]`` from atom
+    ``rows[k]`` of ``mu`` to atom ``cols[k]`` of ``nu``; arcs that fail the
+    residue rule of :data:`transport.FLOW_EPS` are dropped.  The kept
+    sub-measures are the plan's marginals, the atoms they leave out count
+    as removed, and the value recomposed from these parts must agree with
+    the solver's own optimum.
     """
-    src_idx = np.flatnonzero(kept_w > 0)
-    tgt_idx = np.flatnonzero(kept_u > 0)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    flows = np.asarray(flows, dtype=float)
+    keep = _carries_flow(flows, mu.weights[rows], nu.weights[cols])
+    rows, cols, flows = rows[keep], cols[keep], flows[keep]
+    kept_w = np.bincount(rows, flows, minlength=mu.n_atoms)
+    kept_u = np.bincount(cols, flows, minlength=nu.n_atoms)
+    src_idx = np.flatnonzero(kept_w)
+    tgt_idx = np.flatnonzero(kept_u)
     kept_source = DiscreteMeasure(mu.dim, mu.positions[src_idx], kept_w[src_idx])
     kept_target = DiscreteMeasure(nu.dim, nu.positions[tgt_idx], kept_u[tgt_idx])
-    src_map = {int(i): k for k, i in enumerate(src_idx)}
-    tgt_map = {int(j): k for k, j in enumerate(tgt_idx)}
-    entries = tuple((src_map[i], tgt_map[j], f) for i, j, f in arc_entries if f > 0)
-    plan = TransportPlan(entries, kept_source, kept_target)
-    removed_s = total_mass(mu) - total_mass(kept_source)
-    removed_t = total_mass(nu) - total_mass(kept_target)
-    transport = plan.cost(params.p)
-    w_term = transport ** (1.0 / params.p) if transport > 0 else 0.0
-    value = params.a * removed_s + params.a * removed_t + params.b * w_term
-    if solver_value is not None and abs(value - solver_value) > 1e-9 * max(1.0, abs(value)):
+    plan = TransportPlan(np.searchsorted(src_idx, rows), np.searchsorted(tgt_idx, cols),
+                         flows, kept_source, kept_target)
+    result = GwResult(solver_value, kept_source, kept_target, plan,
+                      total_mass(mu) - total_mass(kept_source),
+                      total_mass(nu) - total_mass(kept_target))
+    value = result.value_from_parts(params)
+    if abs(value - solver_value) > 1e-9 * max(1.0, abs(value)):
         raise RuntimeError(
             f"witness recomposition {value} disagrees with solver optimum {solver_value}")
-    return GwResult(value, kept_source, kept_target, plan, removed_s, removed_t)
+    return replace(result, value=value)
 
 
 def _gw_single_atoms(mu, nu, params):
@@ -151,24 +157,20 @@ def _gw_single_atoms(mu, nu, params):
     f_remove = params.a * (w + u)
     f_full = params.a * (w + u - 2 * c) + params.b * c ** (1.0 / params.p) * d
     if f_full < f_remove - TIE_EPS * max(1.0, f_remove):
-        return _assemble(mu, nu, params, np.array([c]), np.array([c]), [(0, 0, c)])
-    return _removal_only(mu, nu, params)
+        return _assemble(mu, nu, params, [0], [0], [c], f_full)
+    return _assemble(mu, nu, params, [], [], [], f_remove)
 
 
 def _gw_dense_p1(mu, nu, params):
     dist = cost_matrix(mu, nu, 1.0)
     arc_mask = params.b * dist < 2.0 * params.a * (1.0 - TIE_EPS)
+    removal = params.a * (total_mass(mu) + total_mass(nu))
     if not np.any(arc_mask):
-        return _removal_only(mu, nu, params)
+        return _assemble(mu, nu, params, [], [], [], removal)
     modified = params.b * dist - 2.0 * params.a
     flows, lp_obj = _minflow.solve_partial_transportation(modified, mu.weights, nu.weights, arc_mask)
-    scale = max(float(flows.sum()), 1.0)
-    flows[flows <= 1e-13 * scale] = 0.0
-    kept_w = flows.sum(axis=1)
-    kept_u = flows.sum(axis=0)
-    arcs = [(int(i), int(j), float(flows[i, j])) for i, j in np.argwhere(flows > 0)]
-    lp_value = params.a * (total_mass(mu) + total_mass(nu)) + lp_obj
-    return _assemble(mu, nu, params, kept_w, kept_u, arcs, solver_value=lp_value)
+    rows, cols = np.nonzero(flows)
+    return _assemble(mu, nu, params, rows, cols, flows[rows, cols], removal + lp_obj)
 
 
 def _gw_line_p1(mu, nu, params):
@@ -176,23 +178,10 @@ def _gw_line_p1(mu, nu, params):
     y = nu.positions[:, 0]
     kept_w, kept_u, dual_value = _minflow.solve_line_partial_w1(
         x, mu.weights, y, nu.weights, params.a, params.b)
-    scale = max(float(kept_w.sum() + kept_u.sum()), 1.0)
-    kept_w[kept_w <= 1e-13 * scale] = 0.0
-    kept_u[kept_u <= 1e-13 * scale] = 0.0
-    arcs = _minflow.monotone_coupling(x, kept_w, y, kept_u)
+    rows, cols, flows = _minflow.monotone_coupling(x, kept_w, y, kept_u)
     # arcs at the exact tie b*d == 2a are repriced as removals
-    final = []
-    kept_w = kept_w.copy()
-    kept_u = kept_u.copy()
-    for i, j, f in arcs:
-        if params.b * abs(x[i] - y[j]) >= 2.0 * params.a * (1.0 - TIE_EPS):
-            kept_w[i] -= f
-            kept_u[j] -= f
-        else:
-            final.append((i, j, f))
-    kept_w = np.clip(kept_w, 0.0, None)
-    kept_u = np.clip(kept_u, 0.0, None)
-    return _assemble(mu, nu, params, kept_w, kept_u, final, solver_value=dual_value)
+    inside = params.b * np.abs(x[rows] - y[cols]) < 2.0 * params.a * (1.0 - TIE_EPS)
+    return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside], dual_value)
 
 
 def _gw_parametric(mu, nu, params):
@@ -210,14 +199,9 @@ def _gw_parametric(mu, nu, params):
             best_val = val
             best_seg = seg
     if best_seg is None:
-        return _removal_only(mu, nu, params)
-    flows = best_seg.flows_hi
-    scale = max(float(flows.sum()), 1.0)
-    flows = np.where(flows > 1e-13 * scale, flows, 0.0)
-    kept_w = flows.sum(axis=1)
-    kept_u = flows.sum(axis=0)
-    arcs = [(int(i), int(j), float(flows[i, j])) for i, j in np.argwhere(flows > 0)]
-    return _assemble(mu, nu, params, kept_w, kept_u, arcs, solver_value=best_val)
+        return _assemble(mu, nu, params, [], [], [], best_val)
+    rows, cols = np.nonzero(best_seg.flows_hi)
+    return _assemble(mu, nu, params, rows, cols, best_seg.flows_hi[rows, cols], best_val)
 
 
 def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
@@ -227,28 +211,24 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     Inputs may have different masses and either may be the zero measure.
     Atoms are canonicalized (merged on the ``quantum`` lattice) before the
     solve, so the result is invariant under atom permutation and duplicate
-    atoms; the witness measures live on the canonical atoms.
+    atoms; the witness measures live on the canonical atoms.  The value is
+    the one recomposed from the witness, which must agree with the
+    solver's optimum to 1e-9 relative, or :class:`RuntimeError` is raised.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     mu_c = canonicalize(mu, quantum)
     nu_c = canonicalize(nu, quantum)
     if mu_c.n_atoms == 0 or nu_c.n_atoms == 0:
-        return _removal_only(mu_c, nu_c, params)
+        return _assemble(mu_c, nu_c, params, [], [], [],
+                         params.a * (total_mass(mu_c) + total_mass(nu_c)))
     if mu_c.n_atoms == 1 and nu_c.n_atoms == 1:
-        result = _gw_single_atoms(mu_c, nu_c, params)
-    elif params.p == 1.0:
-        if mu_c.dim == 1:
-            result = _gw_line_p1(mu_c, nu_c, params)
-        else:
-            result = _gw_dense_p1(mu_c, nu_c, params)
-    else:
-        result = _gw_parametric(mu_c, nu_c, params)
-    recomposed = result.value_from_parts(params)
-    if abs(recomposed - result.value) > 1e-9 * max(1.0, result.value):
-        raise RuntimeError(
-            f"witness decomposition does not recompose: {recomposed} vs {result.value}")
-    return result
+        return _gw_single_atoms(mu_c, nu_c, params)
+    if params.p != 1.0:
+        return _gw_parametric(mu_c, nu_c, params)
+    if mu_c.dim == 1:
+        return _gw_line_p1(mu_c, nu_c, params)
+    return _gw_dense_p1(mu_c, nu_c, params)
 
 
 def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,

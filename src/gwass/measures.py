@@ -83,10 +83,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.n_atoms
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.weights == 0.0))
-
 
 def _lattice_keys(positions: np.ndarray, quantum: float) -> np.ndarray:
     keys = np.rint(positions / quantum)
@@ -176,20 +172,6 @@ def add(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
         np.concatenate([mu.positions, nu.positions], axis=0),
         np.concatenate([mu.weights, nu.weights]),
     )
-
-
-def restrict(mu: DiscreteMeasure, predicate: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
-    """Restriction of mu to the set where ``predicate`` holds.
-
-    ``predicate`` receives the (n, dim) position array and returns a boolean
-    mask of length n.  The result is dominated by mu atomwise.
-    """
-    if mu.n_atoms == 0:
-        return mu
-    mask = np.asarray(predicate(mu.positions), dtype=bool).reshape(-1)
-    if mask.shape[0] != mu.n_atoms:
-        raise ValueError("predicate must return one boolean per atom")
-    return DiscreteMeasure(mu.dim, mu.positions[mask], mu.weights[mask])
 
 
 def support_radius(mu: DiscreteMeasure) -> float:

@@ -8,6 +8,11 @@ over nonnegative couplings g whose row sums equal the source weights and
 whose column sums equal the target weights.  The solve is an exact
 transportation LP (HiGHS) whose optimality is re-certified from the dual
 solution; no entropic or other regularization is used anywhere.
+
+A :class:`TransportPlan` holds its arcs as three read-only arrays (source
+index, target index, flow).  W_p plans and the witness plans of the
+generalized distance drop rounding residues by one rule: an arc whose flow
+is at most :data:`FLOW_EPS` times the smaller of its two atoms' weights.
 """
 
 from __future__ import annotations
@@ -19,41 +24,53 @@ import numpy as np
 from . import _minflow
 from .measures import DiscreteMeasure, total_mass
 
-#: Flows below this fraction of the total mass are dropped from plans.
+#: An arc whose flow is at most this fraction of the smaller of its two
+#: atoms' weights is a rounding residue and is dropped from plans.
 FLOW_EPS = 1e-13
+
+
+def _carries_flow(flows: np.ndarray, src_w: np.ndarray, tgt_w: np.ndarray) -> np.ndarray:
+    """Mask of the arcs that survive the residue rule of :data:`FLOW_EPS`;
+    ``src_w``/``tgt_w`` are the weights of each arc's two atoms."""
+    return flows > FLOW_EPS * np.minimum(src_w, tgt_w)
 
 
 class MassMismatchError(ValueError):
     """Raised when W_p is requested between measures of different mass."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Sparse coupling between the atoms of two measures.
 
-    ``entries`` lists (source atom index, target atom index, flow) with all
-    flows positive.  Row sums must reproduce the source weights and column
-    sums the target weights (checked by :meth:`check_marginals`).
+    Arc k carries ``flows[k] > 0`` from source atom ``rows[k]`` to target
+    atom ``cols[k]``; the three arrays are read-only.  Row sums must
+    reproduce the source weights and column sums the target weights
+    (checked by :meth:`check_marginals`).
     """
 
-    entries: tuple[tuple[int, int, float], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    flows: np.ndarray
     source_ref: DiscreteMeasure
     target_ref: DiscreteMeasure
+
+    def __post_init__(self):
+        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("flows", float)):
+            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_matrix(cls, flows: np.ndarray, source: DiscreteMeasure,
                     target: DiscreteMeasure) -> "TransportPlan":
-        scale = max(float(flows.sum()), 1.0)
-        keep = np.argwhere(flows > FLOW_EPS * scale)
-        entries = tuple((int(i), int(j), float(flows[i, j])) for i, j in keep)
-        return cls(entries, source, target)
+        rows, cols = np.nonzero(_carries_flow(flows, source.weights[:, None],
+                                              target.weights[None, :]))
+        return cls(rows, cols, flows[rows, cols], source, target)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        row = np.zeros(self.source_ref.n_atoms)
-        col = np.zeros(self.target_ref.n_atoms)
-        for i, j, f in self.entries:
-            row[i] += f
-            col[j] += f
+        row = np.bincount(self.rows, self.flows, minlength=self.source_ref.n_atoms)
+        col = np.bincount(self.cols, self.flows, minlength=self.target_ref.n_atoms)
         return row, col
 
     def check_marginals(self, rel_tol: float = 1e-9) -> None:
@@ -64,27 +81,22 @@ class TransportPlan:
         if np.max(np.abs(col - self.target_ref.weights), initial=0.0) > rel_tol * scale:
             raise ValueError("plan column sums do not match target weights")
 
+    def _arc_lengths(self) -> np.ndarray:
+        return np.linalg.norm(self.source_ref.positions[self.rows]
+                              - self.target_ref.positions[self.cols], axis=1)
+
     def cost(self, p: float) -> float:
-        """sum of flow * |x_i - y_j|^p over the plan entries."""
-        if not self.entries:
-            return 0.0
-        i_idx = np.array([e[0] for e in self.entries], dtype=int)
-        j_idx = np.array([e[1] for e in self.entries], dtype=int)
-        flow = np.array([e[2] for e in self.entries])
-        d = np.linalg.norm(self.source_ref.positions[i_idx]
-                           - self.target_ref.positions[j_idx], axis=1)
-        return float(np.sum(flow * d ** p))
+        """sum of flow * |x_i - y_j|^p over the plan arcs."""
+        return float(np.sum(self.flows * self._arc_lengths() ** p))
 
     def max_arc_length(self) -> float:
-        if not self.entries:
-            return 0.0
-        i_idx = np.array([e[0] for e in self.entries], dtype=int)
-        j_idx = np.array([e[1] for e in self.entries], dtype=int)
-        return float(np.max(np.linalg.norm(
-            self.source_ref.positions[i_idx] - self.target_ref.positions[j_idx], axis=1)))
+        return float(np.max(self._arc_lengths(), initial=0.0))
 
-    def as_triples(self) -> list[list[float]]:
-        return [[i, j, f] for i, j, f in self.entries]
+    def as_triples(self) -> list[list]:
+        """Arcs as ``[source index, target index, flow]`` lists of Python
+        ints and floats, in arc order."""
+        return [list(arc) for arc in zip(self.rows.tolist(), self.cols.tolist(),
+                                         self.flows.tolist())]
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,18 @@ def test_memory_cap():
         sample_and_hold(mu0, constant_velocity(0.5, mass_cap=1.05), fixed_source(), 1.0, 2)
 
 
+def test_linear_field_run_leaving_its_ball_raises():
+    # v(x) = x carries delta_0.9 to 0.9 e > 1 by T = 1, outside the ball of
+    # radius 1 on which the field's sup bound holds
+    velocity = build_velocity_model({"base": {"kind": "linear", "matrix": [[1.0]],
+                                              "sup_radius": 1.0},
+                                     "kernel": {"kind": "zero"}}, PARAMS, 2.0)
+    with pytest.raises(ValueError, match="outside the radius"):
+        sample_and_hold(DiscreteMeasure.dirac(0.9), velocity, zero_source(), 1.0, 3)
+    # inside the ball the run goes through
+    sample_and_hold(DiscreteMeasure.dirac(0.3), velocity, zero_source(), 1.0, 3)
+
+
 def test_cauchy_table_zero_for_exact_scheme():
     mu0 = uniform_cloud()
     tab = cauchy_table(mu0, constant_velocity(0.7), zero_source(), 1.0, 3, 6,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gwass.flows import (BumpKernel, FlowConfig, build_velocity_model,
-                         evaluate_field, flow_estimate_report,
-                         flow_pushforward, frozen_gap_bound)
+                         flow_estimate_report, flow_pushforward,
+                         frozen_gap_bound)
 from gwass.gw import GwParams, gw_distance
 from gwass.measures import DiscreteMeasure, total_mass
 
@@ -19,8 +19,8 @@ def test_field_evaluation_examples():
     params = GwParams(1.0, 1.0, 1.0)
     model = constant_model([0.7])
     mu = DiscreteMeasure.from_atoms(1, [([3.0], 5.0)])
-    assert evaluate_field(model, mu, [0.0])[0] == pytest.approx(0.7)
-    assert evaluate_field(model, DiscreteMeasure.zero(1), [2.0])[0] == pytest.approx(0.7)
+    assert model.make_evaluator(mu)(np.array([[0.0]]))[0, 0] == pytest.approx(0.7)
+    assert model.make_evaluator(DiscreteMeasure.zero(1))(np.array([[2.0]]))[0, 0] == pytest.approx(0.7)
 
     bump_only = build_velocity_model(
         {"base": {"kind": "zero"}, "kernel": {"kind": "bump", "radius": 1.0, "height": 0.5}},
@@ -28,8 +28,8 @@ def test_field_evaluation_examples():
     dirac = DiscreteMeasure.dirac(0.25)
     x = 0.5
     expected = 0.5 * (1 - (x - 0.25) ** 2) ** 2
-    assert evaluate_field(bump_only, dirac, [x])[0] == pytest.approx(expected, abs=1e-14)
-    assert evaluate_field(bump_only, DiscreteMeasure.zero(1), [x])[0] == 0.0
+    assert bump_only.make_evaluator(dirac)(np.array([[x]]))[0, 0] == pytest.approx(expected, abs=1e-14)
+    assert bump_only.make_evaluator(DiscreteMeasure.zero(1))(np.array([[x]]))[0, 0] == 0.0
 
 
 def test_constant_field_translation_exact():

@@ -72,6 +72,14 @@ def test_cli_plan_csv_export(tmp_path, capsys, dirac_files):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "i,j,flow"
     assert lines[1] == "0,0,1.0"
+    # 2 delta_1 against delta_0 + delta_2: the plan splits the source atom;
+    # JSON and CSV carry plain ints and floats in arc order
+    mu = write_measure(tmp_path, "two.json", [([1.0], 2.0)])
+    nu = write_measure(tmp_path, "split.json", [([0.0], 1.0), ([2.0], 1.0)])
+    for command in (["dist", mu, nu, "--a", "1", "--b", "1"], ["wasserstein", mu, nu, "--p", "1"]):
+        assert main(command + ["--plan-csv", str(out)]) == 0
+        assert '"plan": [[0, 0, 1.0], [0, 1, 1.0]]' in capsys.readouterr().out
+        assert out.read_text().splitlines() == ["i,j,flow", "0,0,1.0", "0,1,1.0"]
 
 
 def test_cli_oracle_and_prokhorov(tmp_path, capsys, dirac_files):
@@ -205,7 +213,11 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
 @pytest.mark.parametrize("change", [{"level": 11}, {"level": 5, "max_level": 4},
                                     {"params": {"a": 0}}, {"params": {"a": "x"}},
                                     {"initial_measure": {"dim": 1, "atoms": [{"x": [0.0]}]}},
-                                    {"max_level": "ten"}])
+                                    {"max_level": "ten"},
+                                    {"initial_measure": {"dim": 1, "atoms": [{"x": [0.9], "w": 1.0}]},
+                                     "velocity": {"base": {"kind": "linear", "matrix": [[1.0]],
+                                                           "sup_radius": 1.0},
+                                                  "kernel": {"kind": "zero"}}}])
 def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
     mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
     config = {

@@ -82,8 +82,8 @@ def test_line_solver_matches_path_graph_lp():
         assert np.all(kept_u >= 0) and np.all(kept_u <= u)
         # the kept parts are a witness: removal plus monotone transport recomposes
         assert kept_w.sum() == pytest.approx(kept_u.sum(), rel=1e-12, abs=1e-12)
-        plan = monotone_coupling(x, kept_w, y, kept_u)
-        transport = sum(f * abs(x[i] - y[j]) for i, j, f in plan)
+        rows, cols, flows = monotone_coupling(x, kept_w, y, kept_u)
+        transport = np.sum(flows * np.abs(x[rows] - y[cols]))
         recomposed = a * (w.sum() - kept_w.sum()) + a * (u.sum() - kept_u.sum()) + b * transport
         assert recomposed == pytest.approx(value, rel=1e-9, abs=1e-12)
 
