@@ -24,53 +24,69 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+# Tolerance policy: every tolerance of gw_distance, wasserstein and their
+# solvers is one of these constants times a scale of the instance, with no
+# unit floor such as max(1, .); docs/derivations.md section 9 tabulates them.
+
+#: Residue rule: a plan flow, SSP residual capacity or coupling remainder is
+#: zero when it is at most this fraction of the smallest weight of its atoms.
+FLOW_EPS = 1e-13
+#: Ties: b*d against 2a relative to 2a; gw values relative to a(|mu| + |nu|).
+TIE_EPS = 1e-12
+#: Witness recomposition against the solver optimum, relative to a(|mu| + |nu|).
+RECOMPOSE_TOL = 1e-9
+#: Certificates: primal rows relative to the total mass, duals and reduced
+#: costs to the largest |cost|, the line dual value to a(|mu| + |nu|).
 CERT_TOL = 1e-7
-#: Slack of the 1-d line solver's tie tests, relative to a for dual
-#: potentials and to the total mass for fluxes.
+#: Line solver ties: dual potentials relative to a, fluxes to the total mass.
 LINE_TOL = 1e-9
-#: Slopes of the line solver's value functions are sums of net masses; a
-#: slope below this fraction of the total net mass sum |w_i - u_i| counts as
-#: zero, so rounding residues of cancelled slopes leave no breakpoints.
+#: Line solver slopes below this fraction of sum |w_i - u_i| are zero, so the
+#: rounding residues of cancelled slopes leave no breakpoints.
 SLOPE_TOL = 1e-14
+#: HiGHS's feasibility tolerances are absolute: the LPs scale costs to a
+#: largest |cost| of 1, and wasserstein also masses to a total of 1.
+HIGHS_TOL = 1e-10
+#: W_p's allowed mass imbalance, relative to the larger mass.
+MASS_TOL = 1e-9
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL}
 
 
 class OptimalityCertificateError(RuntimeError):
     """The LP solution returned by the backend failed KKT re-verification."""
 
 
-def _check_certificate(c, a_mat, rhs, senses, x, y, bounds_upper=None, scale=1.0):
+def _check_certificate(c, a_mat, rhs, senses, x, y, mass, bounds_upper=None):
     """Re-verify LP optimality from primal/dual pair (x, y).
 
     ``senses`` holds '=' or '<' per row of ``a_mat``.  Conditions checked:
     primal feasibility, dual sign for inequality rows (y <= 0 for a
     minimization with A x <= b), complementary slackness on rows, and
-    reduced-cost conditions against the variable bounds.  Raises
-    :class:`OptimalityCertificateError` on violation.
+    reduced-cost conditions against the variable bounds.  Primal values are
+    tested to CERT_TOL * ``mass`` (the total mass), duals to CERT_TOL times
+    the largest |c| (1 if all are 0).  Raises OptimalityCertificateError.
     """
-    tol = CERT_TOL * max(1.0, scale)
+    tol_m = CERT_TOL * mass
+    tol_c = CERT_TOL * (float(np.max(np.abs(c))) or 1.0)
     ax = a_mat @ x
     senses = np.asarray(senses)
     eq = senses == "="
-    if eq.any() and np.max(np.abs(ax[eq] - rhs[eq])) > tol:
+    if eq.any() and np.max(np.abs(ax[eq] - rhs[eq])) > tol_m:
         raise OptimalityCertificateError("equality row violated")
     ineq = ~eq
     if ineq.any():
         slack = rhs[ineq] - ax[ineq]
-        if np.min(slack) < -tol:
+        if np.min(slack) < -tol_m:
             raise OptimalityCertificateError("inequality row violated")
-        if np.max(y[ineq]) > tol:
+        if np.max(y[ineq]) > tol_c:
             raise OptimalityCertificateError("dual sign violated on inequality row")
-        rhs_scale = np.maximum(1.0, np.abs(rhs[ineq]))
-        if np.max(np.abs(y[ineq]) * np.maximum(slack, 0.0) / rhs_scale) > tol:
+        if np.max(np.abs(y[ineq]) * np.maximum(slack, 0.0)) > tol_c * mass:
             raise OptimalityCertificateError("complementary slackness violated")
     reduced = c - a_mat.T @ y
-    if bounds_upper is None:
-        bounds_upper = np.full(x.shape, np.inf)
-    at_lower = x <= tol
-    at_upper = np.isfinite(bounds_upper) & (x >= bounds_upper - tol)
-    if np.any(~at_upper & (reduced < -tol)):
+    at_lower = x <= tol_m
+    at_upper = x >= (np.inf if bounds_upper is None else bounds_upper - tol_m)
+    if np.any(~at_upper & (reduced < -tol_c)):
         raise OptimalityCertificateError("negative reduced cost at a non-upper-bound variable")
-    if np.any(~at_lower & (reduced > tol)):
+    if np.any(~at_lower & (reduced > tol_c)):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
@@ -94,13 +110,15 @@ def solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarra
     n, m = cost.shape
     a_mat = _marginal_matrix(n, m)
     rhs = np.concatenate([supply, demand])
-    c = cost.ravel()
-    res = linprog(c, A_eq=a_mat, b_eq=rhs, bounds=(0, None), method="highs")
+    c_scale = float(np.max(np.abs(cost))) or 1.0
+    c = cost.ravel() / c_scale
+    res = linprog(c, A_eq=a_mat, b_eq=rhs, bounds=(0, None), method="highs",
+                  options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"transportation solve failed: {res.message}")
     _check_certificate(c, a_mat, rhs, ["="] * (n + m), res.x, res.eqlin.marginals,
-                       scale=float(np.max(np.abs(c), initial=1.0)) * float(np.sum(supply)))
-    return res.x.reshape(n, m), float(res.fun)
+                       float(np.sum(supply)))
+    return res.x.reshape(n, m), float(res.fun) * c_scale
 
 
 def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
@@ -121,21 +139,16 @@ def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: n
         return flows, 0.0
     full = _marginal_matrix(n, m).tocsc()
     a_mat = full[:, arc_idx].tocsr()
-    # HiGHS's feasibility tolerances are absolute, 1e-7 by default, so a
-    # basis may overdraw an atom, or cost more than the optimum, by about
-    # that much per unit.  Costs scaled to [-1, 1] and both tolerances cut
-    # to 1e-10 shrink these errors a thousandfold.
     rhs = np.concatenate([supply, demand])
     c = cost.ravel()[arc_idx]
     c_scale = float(np.max(np.abs(c))) or 1.0
     c = c / c_scale
     res = linprog(c, A_ub=a_mat, b_ub=rhs, bounds=(0, None), method="highs",
-                  options={"dual_feasibility_tolerance": 1e-10,
-                           "primal_feasibility_tolerance": 1e-10})
+                  options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"partial transport solve failed: {res.message}")
     _check_certificate(c, a_mat, rhs, ["<"] * (n + m), res.x, res.ineqlin.marginals,
-                       scale=float(np.sum(supply) + np.sum(demand)))
+                       float(np.sum(supply) + np.sum(demand)))
     flows.ravel()[arc_idx] = res.x
     return flows, float(res.fun) * c_scale
 
@@ -152,9 +165,9 @@ def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
     chain DP over concave piecewise-linear value functions
     (:func:`_dual_chain_dp`); the kept masses are rebuilt from the optimal
     dual by complementary slackness (:func:`_slack_witness`).  The dual f
-    certifies the result: it is checked feasible, and its value must match
-    both the DP maximum and the cost of the primal witness, or
-    :class:`OptimalityCertificateError` is raised.
+    certifies the result: it is checked feasible and its value must match
+    the DP maximum, or :class:`OptimalityCertificateError` is raised; the
+    caller checks the cost of the primal witness against the same value.
 
     Returns ``(kept_src, kept_tgt, value)``.
     """
@@ -174,17 +187,12 @@ def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
             or np.any(np.abs(np.diff(f)) > step + tol_f)):
         raise OptimalityCertificateError("dual potential of the line solve is infeasible")
     dual = float(np.dot(net, f))
-    cert_tol = CERT_TOL * a * mass
-    if abs(dual - value) > cert_tol:
+    if abs(dual - value) > CERT_TOL * a * mass:
         raise OptimalityCertificateError(
             f"dual potential value {dual} disagrees with the chain DP maximum {value}")
 
-    removed_w, removed_u, flux = _slack_witness(net, w_node, u_node, step, argmax, f, a,
-                                                tol_f, LINE_TOL * mass)
-    primal = a * float(np.sum(removed_w) + np.sum(removed_u)) + float(np.dot(step, np.abs(flux)))
-    if abs(primal - dual) > cert_tol:
-        raise OptimalityCertificateError(
-            f"primal witness cost {primal} disagrees with the dual value {dual}")
+    removed_w, removed_u = _slack_witness(net, w_node, u_node, step, argmax, f, a,
+                                          tol_f, LINE_TOL * mass)
     keep_w = np.divide(w_node - removed_w, w_node, out=np.zeros_like(w_node), where=w_node > 0)
     keep_u = np.divide(u_node - removed_u, u_node, out=np.zeros_like(u_node), where=u_node > 0)
     kept_src = np.clip(src_w * keep_w[node_of[:n]], 0.0, src_w)
@@ -305,7 +313,7 @@ def _slack_witness(net, w_node, u_node, step, argmax, f, a, tol_f, tol_m):
     it, and zero elsewhere.  A forward max-plus sweep gives, per gap, the
     interval of fluxes that the nodes to its left can feed under these
     rules; a backward pass picks a flux in each interval, keeping mass where
-    it can.  Returns ``(removed source, removed target, flux)`` per node/gap.
+    it can.  Returns ``(removed source, removed target)`` per node.
     """
     can_w = np.where(f >= a - tol_f, w_node, 0.0)
     can_u = np.where(f <= -a + tol_f, u_node, 0.0)
@@ -331,9 +339,7 @@ def _slack_witness(net, w_node, u_node, step, argmax, f, a, tol_f, tol_m):
         flux[i - 1] = max(min(max(flux[i] - net_l[i], lo[i - 1]), hi[i - 1]), floor[i - 1])
     flux = np.array(flux)
     excess = net - np.diff(flux, prepend=0.0)     # removed source minus removed target
-    removed_w = np.clip(excess, 0.0, can_w)
-    removed_u = np.clip(-excess, 0.0, can_u)
-    return removed_w, removed_u, flux[:-1]
+    return np.clip(excess, 0.0, can_w), np.clip(-excess, 0.0, can_u)
 
 
 def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,
@@ -343,20 +349,22 @@ def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,
     The monotone plan is optimal for every convex cost |x - y|^p, p >= 1.
     Both sides are walked in position order, subtracting each matched flow
     from the two remainders, so every flow is exact to the rounding of its
-    own atoms.  Returns ``(rows, cols, flows)`` arrays: arc k moves
+    own atoms; a remainder is spent once the residue rule of FLOW_EPS calls
+    it zero.  Returns ``(rows, cols, flows)`` arrays: arc k moves
     ``flows[k]`` from source atom ``rows[k]`` to target atom ``cols[k]``.
     """
     order_s = np.argsort(src_pos, kind="stable").tolist()
     order_t = np.argsort(tgt_pos, kind="stable").tolist()
     rem_s = np.asarray(src_w, dtype=float)[order_s].tolist()
     rem_t = np.asarray(tgt_w, dtype=float)[order_t].tolist()
+    zero_s, zero_t = [FLOW_EPS * w for w in rem_s], [FLOW_EPS * w for w in rem_t]
     rows, cols, flows = [], [], []
     i = j = 0
     while i < len(rem_s) and j < len(rem_t):
-        if rem_s[i] <= 0:
+        if rem_s[i] <= zero_s[i]:
             i += 1
             continue
-        if rem_t[j] <= 0:
+        if rem_t[j] <= zero_t[j]:
             j += 1
             continue
         f = min(rem_s[i], rem_t[j])
@@ -365,10 +373,6 @@ def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,
         flows.append(f)
         rem_s[i] -= f
         rem_t[j] -= f
-        if rem_s[i] <= 1e-15 * (1.0 + f):
-            rem_s[i] = 0.0
-        if rem_t[j] <= 1e-15 * (1.0 + f):
-            rem_t[j] = 0.0
     return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(flows, dtype=float))
 
@@ -417,13 +421,16 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
     cap[src, :n] = supply
     cap[:n, tgt] = np.inf
     cap[tgt, snk] = demand
+    # residue rule: a residual capacity is zero when at most FLOW_EPS times
+    # the smaller weight of the two nodes of its arc (terminals weigh inf)
+    node_w = np.concatenate([supply, demand, [np.inf, np.inf]])
+    zero = FLOW_EPS * np.minimum.outer(node_w, node_w)
     pot = np.zeros(n_nodes)                 # node potentials for reduced costs
     segments = []
     m_done = 0.0
     t_done = 0.0
-    total = min(float(np.sum(supply)), float(np.sum(demand)))
-    while m_done < total - 1e-15 * max(total, 1.0):
-        reduced = np.where(cap > 1e-15, np.maximum(0.0, arc_cost + pot[:, None] - pot), np.inf)
+    while True:
+        reduced = np.where(cap > zero, np.maximum(0.0, arc_cost + pot[:, None] - pot), np.inf)
         dist, parent = _dijkstra_dense(reduced.tolist(), src, snk)
         if not np.isfinite(dist[snk]):
             break
@@ -436,9 +443,7 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
             path.append(parent[path[-1]])
         path = np.array(path)
         heads, tails = path[:-1], path[1:]
-        bottleneck = min(min(cap[tails, heads].tolist()), total - m_done)
-        if bottleneck <= 1e-15 * max(total, 1.0):
-            break  # degenerate residual: no measurable progress possible
+        bottleneck = min(cap[tails, heads].tolist())
         cap[tails, heads] -= bottleneck
         cap[heads, tails] += bottleneck
         pot = pot_new

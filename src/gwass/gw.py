@@ -33,9 +33,10 @@ witness decomposition is deterministic; the value is unaffected.
 Every path, including the closed forms for an empty side and for one atom
 on each side, hands its plan arcs as (rows, cols, flows) arrays to one
 witness builder, ``_assemble``.  It drops rounding residues by the rule of
-:data:`transport.FLOW_EPS`, takes the kept sub-measures from the arcs,
+:data:`_minflow.FLOW_EPS`, takes the kept sub-measures from the arcs,
 recomposes the value once through :meth:`GwResult.value_from_parts` and
-checks it against the solver's optimum.
+checks it against the solver's optimum.  Tolerances are the constants of
+:mod:`gwass._minflow`; each test on a value is relative to a(|mu| + |nu|).
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ import numpy as np
 from . import _minflow
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, canonicalize,
                        measure_to_json, total_mass)
+from ._minflow import RECOMPOSE_TOL, TIE_EPS
 from .transport import TransportPlan, _carries_flow, cost_matrix
-
-#: Relative slack used to detect exact cost ties (b*d == 2a).
-TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,10 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
 
     Every solver path ends here.  Arc k moves ``flows[k]`` from atom
     ``rows[k]`` of ``mu`` to atom ``cols[k]`` of ``nu``; arcs that fail the
-    residue rule of :data:`transport.FLOW_EPS` are dropped.  The kept
+    residue rule of :data:`_minflow.FLOW_EPS` are dropped.  The kept
     sub-measures are the plan's marginals, the atoms they leave out count
     as removed, and the value recomposed from these parts must agree with
-    the solver's own optimum.
+    the solver's own optimum to RECOMPOSE_TOL * a(|mu| + |nu|).
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -138,7 +137,7 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
                       total_mass(mu) - total_mass(kept_source),
                       total_mass(nu) - total_mass(kept_target))
     value = result.value_from_parts(params)
-    if abs(value - solver_value) > 1e-9 * max(1.0, abs(value)):
+    if abs(value - solver_value) > RECOMPOSE_TOL * params.a * (total_mass(mu) + total_mass(nu)):
         raise RuntimeError(
             f"witness recomposition {value} disagrees with solver optimum {solver_value}")
     return replace(result, value=value)
@@ -156,7 +155,7 @@ def _gw_single_atoms(mu, nu, params):
     c = min(w, u)
     f_remove = params.a * (w + u)
     f_full = params.a * (w + u - 2 * c) + params.b * c ** (1.0 / params.p) * d
-    if f_full < f_remove - TIE_EPS * max(1.0, f_remove):
+    if f_full < f_remove * (1.0 - TIE_EPS):
         return _assemble(mu, nu, params, [0], [0], [c], f_full)
     return _assemble(mu, nu, params, [], [], [], f_remove)
 
@@ -195,7 +194,7 @@ def _gw_parametric(mu, nu, params):
         t_hi = seg.t_lo + seg.slope * (seg.m_hi - seg.m_lo)
         w_term = t_hi ** (1.0 / params.p) if t_hi > 0 else 0.0
         val = params.a * (w_mass + u_mass - 2.0 * seg.m_hi) + params.b * w_term
-        if val < best_val - TIE_EPS * max(1.0, abs(best_val)):
+        if val < best_val - TIE_EPS * params.a * (w_mass + u_mass):
             best_val = val
             best_seg = seg
     if best_seg is None:
@@ -212,8 +211,8 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     Atoms are canonicalized (merged on the ``quantum`` lattice) before the
     solve, so the result is invariant under atom permutation and duplicate
     atoms; the witness measures live on the canonical atoms.  The value is
-    the one recomposed from the witness, which must agree with the
-    solver's optimum to 1e-9 relative, or :class:`RuntimeError` is raised.
+    the one recomposed from the witness, which must agree with the solver's
+    optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or :class:`RuntimeError` is raised.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

@@ -449,6 +449,8 @@ def run_metrization_suite(k_max: int = 50, seed: int | None = None) -> SuiteRepo
 # --- dispatcher --------------------------------------------------------------------
 
 def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> SuiteReport:
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "metric":
         return run_metric_suite(trials=trials or 1000, seed=seed)
     if name == "examples":

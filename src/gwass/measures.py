@@ -93,13 +93,12 @@ def _lattice_keys(positions: np.ndarray, quantum: float) -> np.ndarray:
     return keys.astype(np.int64)
 
 
-def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM,
-                 prune: float = 0.0) -> DiscreteMeasure:
+def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM) -> DiscreteMeasure:
     """Snap atoms to the quantization lattice and merge coincident ones.
 
-    Atoms whose merged weight is <= ``prune`` (default 0, so exact zeros)
-    are dropped.  Output atoms are sorted lexicographically by lattice key,
-    which makes every downstream computation independent of input ordering.
+    Atoms whose merged weight is exactly zero are dropped.  Output atoms are
+    sorted lexicographically by lattice key, which makes every downstream
+    computation independent of input ordering.
     Raises ``ValueError`` when a lattice index |x| / quantum does not fit in
     int64, rather than letting distant atoms wrap around and merge.
     """
@@ -111,7 +110,7 @@ def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM,
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     w = np.zeros(uniq.shape[0])
     np.add.at(w, inverse.ravel(), mu.weights)
-    keep = w > prune
+    keep = w > 0
     return DiscreteMeasure(mu.dim, uniq[keep] * quantum, w[keep])
 
 

@@ -12,7 +12,7 @@ solution; no entropic or other regularization is used anywhere.
 A :class:`TransportPlan` holds its arcs as three read-only arrays (source
 index, target index, flow).  W_p plans and the witness plans of the
 generalized distance drop rounding residues by one rule: an arc whose flow
-is at most :data:`FLOW_EPS` times the smaller of its two atoms' weights.
+is at most :data:`_minflow.FLOW_EPS` times the smaller of its two atoms' weights.
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ import numpy as np
 from . import _minflow
 from .measures import DiscreteMeasure, total_mass
 
-#: An arc whose flow is at most this fraction of the smaller of its two
-#: atoms' weights is a rounding residue and is dropped from plans.
-FLOW_EPS = 1e-13
-
 
 def _carries_flow(flows: np.ndarray, src_w: np.ndarray, tgt_w: np.ndarray) -> np.ndarray:
-    """Mask of the arcs that survive the residue rule of :data:`FLOW_EPS`;
+    """Mask of the arcs that survive the residue rule of ``_minflow.FLOW_EPS``;
     ``src_w``/``tgt_w`` are the weights of each arc's two atoms."""
-    return flows > FLOW_EPS * np.minimum(src_w, tgt_w)
+    return flows > _minflow.FLOW_EPS * np.minimum(src_w, tgt_w)
 
 
 class MassMismatchError(ValueError):
@@ -75,7 +71,7 @@ class TransportPlan:
 
     def check_marginals(self, rel_tol: float = 1e-9) -> None:
         row, col = self.marginals()
-        scale = max(total_mass(self.source_ref), total_mass(self.target_ref), 1e-300)
+        scale = max(total_mass(self.source_ref), total_mass(self.target_ref))
         if np.max(np.abs(row - self.source_ref.weights), initial=0.0) > rel_tol * scale:
             raise ValueError("plan row sums do not match source weights")
         if np.max(np.abs(col - self.target_ref.weights), initial=0.0) > rel_tol * scale:
@@ -116,15 +112,15 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarra
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-                tol: float = 1e-9) -> WpResult:
+                tol: float = _minflow.MASS_TOL) -> WpResult:
     """Exact Wasserstein distance of order p between equal-mass measures.
 
     Parameters
     ----------
     mu, nu : DiscreteMeasure
         Measures of equal (positive) total mass; a mass imbalance beyond
-        ``tol`` raises :class:`MassMismatchError`, since W_p is undefined
-        between measures of different mass.
+        ``tol`` times the larger mass raises :class:`MassMismatchError`,
+        since W_p is undefined between measures of different mass.
     p : float
         Cost exponent, p >= 1.
 
@@ -140,7 +136,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     w_mass, u_mass = total_mass(mu), total_mass(nu)
-    if abs(w_mass - u_mass) > tol * max(1.0, w_mass, u_mass):
+    if abs(w_mass - u_mass) > tol * max(w_mass, u_mass):
         raise MassMismatchError(
             f"masses differ ({w_mass} vs {u_mass}); W_p needs equal masses")
     if w_mass <= 0 or u_mass <= 0:
@@ -152,9 +148,9 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
         value = float(np.sum(flows * cost_matrix(mu, nu, p))) ** (1.0 / p)
         return WpResult(value, TransportPlan.from_matrix(flows, mu, nu), p)
 
-    # equalize masses exactly so the LP is feasible
-    nu_w = nu.weights * (w_mass / u_mass)
-    flows, raw = _minflow.solve_transportation(cost_matrix(mu, nu, p), mu.weights, nu_w)
-    value = max(raw, 0.0) ** (1.0 / p)
-    return WpResult(value, TransportPlan.from_matrix(flows, mu, nu), p)
+    # each side scaled to a total of 1, which also makes the LP feasible
+    flows, raw = _minflow.solve_transportation(cost_matrix(mu, nu, p), mu.weights / w_mass,
+                                               nu.weights / u_mass)
+    value = (w_mass * max(raw, 0.0)) ** (1.0 / p)
+    return WpResult(value, TransportPlan.from_matrix(flows * w_mass, mu, nu), p)
 

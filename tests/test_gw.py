@@ -143,14 +143,14 @@ def test_metric_axioms_random():
 @st.composite
 def scale_extreme_case(draw):
     """Pair in dimension 1 or 2 at p = 1 or 2, so every solver path is
-    reached, with weights in 1e-9..1e9, coordinates up to 1e6 and b/a in
+    reached, with weights in 1e-9..1e9, coordinates up to 1e9 and b/a in
     1e-6..1e6."""
     dim = draw(st.sampled_from([1, 2]))
     p = draw(st.sampled_from([1.0, 2.0]))
 
     def measure():
         n = draw(st.integers(1, 8))
-        xs = draw(st.lists(st.floats(-1e6, 1e6), min_size=n * dim, max_size=n * dim))
+        xs = draw(st.lists(st.floats(-1e9, 1e9), min_size=n * dim, max_size=n * dim))
         logs = draw(st.lists(st.floats(-9, 9), min_size=n, max_size=n))
         return DiscreteMeasure(dim, np.reshape(xs, (n, dim)), 10.0 ** np.array(logs))
     a = 10.0 ** draw(st.floats(-3, 3))
@@ -185,6 +185,54 @@ def test_small_kept_atom_beside_a_huge_one(dim, p, shift):
     assert r.plan.flows.tolist() == pytest.approx(weights, rel=1e-9)
     if shift == 0.0:
         assert r.value == 0.0
+
+
+@pytest.mark.parametrize("mu, p", [
+    (DiscreteMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [1e-8, 1e8]), 2.0),
+    (DiscreteMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [1e-8, 1e8]), 1.0),
+    (DiscreteMeasure.dirac(0.0, 1e-13), 1.0),
+])
+def test_identical_measures_at_extreme_masses_are_at_distance_zero(mu, p):
+    # neither a tiny atom beside a huge one nor a tiny total mass may turn
+    # transport at zero cost into a removal
+    r = gw_distance(mu, mu, GwParams(1.0, 1.0, p))
+    assert r.value == pytest.approx(0.0, abs=1e-12 * 2 * total_mass(mu))
+
+
+def test_identical_pairs_across_sixteen_decades_recompose_to_zero():
+    # 8 atoms with weights 10^U(-8, 8.5): the witness recomposes to 0 within
+    # 1e-9 a(|mu| + |nu|), whichever path and parameters solve it
+    rng = np.random.default_rng(160)
+    for k in range(160):
+        a, b = [(15.2, 24.0), (0.1, 1e-6), (40.0, 1e-4), (0.04, 450.0)][k % 4]
+        p = 1.0 + (k // 4) % 2
+        mu = DiscreteMeasure(2, rng.uniform(-3000, 3000, (8, 2)), 10.0 ** rng.uniform(-8, 8.5, 8))
+        value = gw_distance(mu, mu, GwParams(a, b, p)).value
+        assert value <= 1e-9 * a * 2 * total_mass(mu)
+
+
+def test_value_is_homogeneous_in_the_mass():
+    # gw_{a,b}(k mu, k nu) = k gw_{a, b k^(1/p - 1)}(mu, nu) on every solver
+    # path; only the dense p=1 LP, whose HiGHS tolerances are absolute in
+    # mass, may raise at tiny total mass, and then it must raise
+    rng = np.random.default_rng(2014)
+    sizes = [(1, 1), (1, 4), (3, 2), (5, 6), (6, 6)]
+    for dim in (1, 2):
+        for p in (1.0, 2.0):
+            for n, m in sizes:
+                mu = DiscreteMeasure(dim, rng.uniform(-2, 2, (n, dim)), rng.uniform(0.05, 2, n))
+                nu = DiscreteMeasure(dim, rng.uniform(-2, 2, (m, dim)), rng.uniform(0.05, 2, m))
+                a, b = rng.uniform(0.2, 3), rng.uniform(0.2, 3)
+                slack = 1e-9 * a * (total_mass(mu) + total_mass(nu))
+                dense = dim == 2 and p == 1.0 and n * m > 1
+                for k in (1e-15, 1e-12, 1e-9, 1e9, 1e12, 1e15):
+                    unit = gw_distance(mu, nu, GwParams(a, b * k ** (1 / p - 1), p)).value
+                    try:
+                        scaled = gw_distance(scale(mu, k), scale(nu, k), GwParams(a, b, p)).value
+                    except RuntimeError:
+                        assert dense and k < 1e-7
+                        continue
+                    assert abs(scaled / k - unit) <= slack, (dim, p, n, m, k)
 
 
 def test_identity_of_indiscernibles():

@@ -107,6 +107,13 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_rejects_trials_below_one(capsys):
+    # a count below 1 is a usage error, not the default count or an empty pass
+    for trials in ("0", "-3"):
+        assert main(["verify", "metric", "--trials", trials]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])

@@ -127,9 +127,6 @@ def test_zero_weight_atoms_pruned_on_canonicalization():
     mu = DiscreteMeasure.from_atoms(1, [([0.0], 0.0), ([1.0], 1.0)])
     assert mu.n_atoms == 2
     assert canonicalize(mu).n_atoms == 1
-    pruned = canonicalize(DiscreteMeasure.from_atoms(1, [([0.0], 1e-15), ([1.0], 1.0)]),
-                          prune=1e-12)
-    assert pruned.n_atoms == 1
 
 
 def test_canonicalize_lattice_range():

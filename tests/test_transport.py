@@ -99,6 +99,30 @@ def test_scaling_check_edge_cases():
         scale(mu, -1.0)
 
 
+def test_tiny_masses_keep_their_coupling():
+    mu = DiscreteMeasure(1, [[0.0], [1.0]], [1e-9, 1e-9])
+    nu = DiscreteMeasure(1, [[2.0], [3.0]], [1e-9, 1e-9])
+    assert wasserstein(mu, nu, 1.0).value == pytest.approx(4e-9, rel=1e-12)
+
+
+def test_value_is_homogeneous_in_mass_and_length():
+    # W_p(k mu, k nu) = k^(1/p) W_p(mu, nu), and lengths scale the value
+    rng = np.random.default_rng(2016)
+    for _ in range(8):
+        n, m = (int(v) for v in rng.integers(2, 7, 2))
+        dim = int(rng.integers(1, 3))
+        p = float(rng.choice([1.0, 2.0]))
+        x, y = rng.uniform(-2, 2, (n, dim)), rng.uniform(-2, 2, (m, dim))
+        w, u = rng.uniform(0.1, 2, n), rng.uniform(0.1, 2, m)
+        u *= w.sum() / u.sum()
+        unit = wasserstein(DiscreteMeasure(dim, x, w), DiscreteMeasure(dim, y, u), p).value
+        for k in (1e-15, 1e-12, 1e-9, 1e9, 1e12, 1e15):
+            for lam in (1e-6, 1.0, 1e6):
+                got = wasserstein(DiscreteMeasure(dim, lam * x, k * w),
+                                  DiscreteMeasure(dim, lam * y, k * u), p).value
+                assert got == pytest.approx(lam * k ** (1 / p) * unit, rel=1e-10)
+
+
 def test_mass_mismatch_rejected():
     with pytest.raises(MassMismatchError):
         wasserstein(DiscreteMeasure.dirac(0.0, 1.0), DiscreteMeasure.dirac(1.0, 2.0), 1.0)
