@@ -2,17 +2,19 @@
 
 Three primitives live here:
 
-* dense transportation LPs (equality and inequality marginals) solved with
-  HiGHS through ``scipy.optimize.linprog``, with the KKT optimality
-  certificate re-verified from the returned duals;
+* transportation LPs with equality or inequality marginals, certified by
+  one KKT check from either backend: the SSP below, whose node potentials
+  are the duals, up to SSP_MAX_ATOMS atoms per side, and HiGHS through
+  ``scipy.optimize.linprog`` above that, with the SSP as its fallback;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
   masses by complementary slackness and certifies them; the kept masses
   are coupled by the monotone (quantile) coupling, which returns its arcs
   as (rows, cols, flows) arrays;
-* a successive-shortest-path solver that traces the exact piecewise-linear
-  value of partial transport as a function of the transported mass, used by
-  the p > 1 solver.
+* a successive-shortest-path (SSP) solver that traces the exact
+  piecewise-linear value of partial transport as a function of the
+  transported mass, used by the p > 1 solver and, stopped at a given path
+  cost, by the LPs.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ SLOPE_TOL = 1e-14
 HIGHS_TOL = 1e-10
 #: W_p's allowed mass imbalance, relative to the larger mass.
 MASS_TOL = 1e-9
+#: Backend choice of the transportation LPs: instances of at most this many
+#: atoms per side go to the SSP, larger ones to HiGHS (crossover measured in
+#: docs/derivations.md section 9).
+SSP_MAX_ATOMS = 12
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL}
 
 
@@ -90,15 +96,54 @@ def _check_certificate(c, a_mat, rhs, senses, x, y, mass, bounds_upper=None):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
-def _marginal_matrix(n, m):
-    """Sparse (n+m) x (n*m) incidence matrix of the transportation polytope."""
-    idx = np.arange(n * m)
-    rows_src = idx // m
-    rows_tgt = n + idx % m
-    data = np.ones(2 * n * m)
-    rows = np.concatenate([rows_src, rows_tgt])
-    cols = np.concatenate([idx, idx])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n + m, n * m))
+def _highs(c, a_mat, rhs, senses, mass):
+    """HiGHS backend of :func:`_solve_lp`, on costs scaled to a largest |cost|
+    of 1: ``(x, value)``, or None if HiGHS fails or its duals fail the check."""
+    c_scale = float(np.max(np.abs(c))) or 1.0
+    rows = {"A_ub": a_mat, "b_ub": rhs} if senses[0] == "<" else {"A_eq": a_mat, "b_eq": rhs}
+    res = linprog(c / c_scale, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS, **rows)
+    if res.status != 0:
+        return None
+    duals = (res.ineqlin if senses[0] == "<" else res.eqlin).marginals
+    try:
+        _check_certificate(c / c_scale, a_mat, rhs, senses, res.x, duals, mass)
+    except OptimalityCertificateError:
+        return None
+    return res.x, float(res.fun) * c_scale
+
+
+def _solve_lp(cost, supply, demand, arc_mask, partial):
+    """Transportation LP over the arcs of ``arc_mask``, with inequality
+    marginals if ``partial``, else equality marginals.  At most
+    SSP_MAX_ATOMS atoms per side go to the SSP, larger instances to HiGHS
+    and, if it fails, to the SSP; either answer is certified."""
+    n, m = cost.shape
+    arcs = np.flatnonzero(arc_mask.ravel())
+    flows = np.zeros((n, m))
+    if arcs.size == 0:
+        return flows, 0.0
+    k = np.arange(arcs.size)      # incidence matrix: column k is arc arcs[k]
+    a_mat = sp.csr_matrix((np.ones(2 * k.size), (np.concatenate([arcs // m, n + arcs % m]),
+                                                 np.concatenate([k, k]))), shape=(n + m, k.size))
+    rhs = np.concatenate([supply, demand])
+    c = cost.ravel()[arcs]
+    senses = ["<" if partial else "="] * (n + m)
+    mass = float(np.sum(supply) + (np.sum(demand) if partial else 0.0))
+    solved = _highs(c, a_mat, rhs, senses, mass) if max(n, m) > SSP_MAX_ATOMS else None
+    if solved is None:
+        # Dijkstra needs costs >= 0; a source-to-sink path has one forward
+        # arc more than backward arcs, so its cost shifts by exactly ``shift``
+        shift = min(float(np.min(c)), 0.0)
+        ssp_flows, pot = _ssp(cost - shift, supply, demand, arc_mask, -shift if partial else np.inf)
+        x = ssp_flows.ravel()[arcs]
+        if partial:
+            duals = np.minimum(0.0, np.concatenate([-pot[:n], pot[n:n + m] - pot[-1]]))
+        else:
+            duals = np.concatenate([-pot[:n], pot[n:n + m] + shift])
+        _check_certificate(c, a_mat, rhs, senses, x, duals, mass)
+        solved = x, float(np.dot(c, x))
+    flows.ravel()[arcs] = solved[0]
+    return flows, solved[1]
 
 
 def solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
@@ -107,18 +152,7 @@ def solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarra
     Returns ``(flows, value)`` where flows is the optimal (n, m) matrix.
     Optimality is certified from the duals before returning.
     """
-    n, m = cost.shape
-    a_mat = _marginal_matrix(n, m)
-    rhs = np.concatenate([supply, demand])
-    c_scale = float(np.max(np.abs(cost))) or 1.0
-    c = cost.ravel() / c_scale
-    res = linprog(c, A_eq=a_mat, b_eq=rhs, bounds=(0, None), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise RuntimeError(f"transportation solve failed: {res.message}")
-    _check_certificate(c, a_mat, rhs, ["="] * (n + m), res.x, res.eqlin.marginals,
-                       float(np.sum(supply)))
-    return res.x.reshape(n, m), float(res.fun) * c_scale
+    return _solve_lp(cost, supply, demand, np.ones(cost.shape, dtype=bool), partial=False)
 
 
 def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
@@ -132,25 +166,7 @@ def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: n
 
     Returns ``(flows, value)`` with flows dense (n, m).
     """
-    n, m = cost.shape
-    arc_idx = np.flatnonzero(arc_mask.ravel())
-    flows = np.zeros((n, m))
-    if arc_idx.size == 0:
-        return flows, 0.0
-    full = _marginal_matrix(n, m).tocsc()
-    a_mat = full[:, arc_idx].tocsr()
-    rhs = np.concatenate([supply, demand])
-    c = cost.ravel()[arc_idx]
-    c_scale = float(np.max(np.abs(c))) or 1.0
-    c = c / c_scale
-    res = linprog(c, A_ub=a_mat, b_ub=rhs, bounds=(0, None), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise RuntimeError(f"partial transport solve failed: {res.message}")
-    _check_certificate(c, a_mat, rhs, ["<"] * (n + m), res.x, res.ineqlin.marginals,
-                       float(np.sum(supply) + np.sum(demand)))
-    flows.ravel()[arc_idx] = res.x
-    return flows, float(res.fun) * c_scale
+    return _solve_lp(cost, supply, demand, arc_mask, partial=True)
 
 
 def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
@@ -401,14 +417,26 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
     every augmentation transports mass at the current cheapest marginal cost
     (the path cost), and path costs are nondecreasing.  Each augmentation
     ends one segment, so every breakpoint of T is a segment end; consecutive
-    segments may share a slope.
+    segments may share a slope.  ``cost`` must be nonnegative.
 
-    The network lives on one dense residual-capacity matrix over the nodes
+    Returns the list of :class:`ParametricSegment`.
+    """
+    segments = []
+    _ssp(cost, supply, demand, np.ones(cost.shape, dtype=bool), np.inf, segments)
+    return segments
+
+
+def _ssp(cost, supply, demand, arc_mask, stop, segments=None):
+    """Successive shortest paths on the arcs of ``arc_mask`` (cost >= 0).
+
+    The network is one dense residual-capacity matrix over the nodes
     (sources, targets, super source, sink); the flow on arc (i, j) is the
-    residual capacity of its reverse arc (j, i).
-
-    Returns the list of :class:`ParametricSegment`.  Intended for the small
-    instances of the p > 1 solver.
+    residual capacity of its reverse arc (j, i).  Augmentation stops before
+    the first path whose cost would reach ``stop``, or when none is left;
+    a finite ``stop`` clamps the last Dijkstra at the source-sink gap, so
+    the final potentials have gap ``stop`` and residual reduced costs >= 0.
+    Appends a :class:`ParametricSegment` per augmentation to ``segments`` if
+    given.  Returns the flow matrix and the node potentials.
     """
     n, m = cost.shape
     n_nodes = n + m + 2
@@ -419,25 +447,26 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
     arc_cost[tgt, :n] = -cost.T
     cap = np.zeros((n_nodes, n_nodes))
     cap[src, :n] = supply
-    cap[:n, tgt] = np.inf
+    cap[:n, tgt] = np.where(arc_mask, np.inf, 0.0)
     cap[tgt, snk] = demand
     # residue rule: a residual capacity is zero when at most FLOW_EPS times
     # the smaller weight of the two nodes of its arc (terminals weigh inf)
     node_w = np.concatenate([supply, demand, [np.inf, np.inf]])
     zero = FLOW_EPS * np.minimum.outer(node_w, node_w)
-    pot = np.zeros(n_nodes)                 # node potentials for reduced costs
-    segments = []
+    pot = np.zeros(n_nodes)                 # node potentials; pot[src] stays 0
     m_done = 0.0
     t_done = 0.0
     while True:
         reduced = np.where(cap > zero, np.maximum(0.0, arc_cost + pot[:, None] - pot), np.inf)
         dist, parent = _dijkstra_dense(reduced.tolist(), src, snk)
-        if not np.isfinite(dist[snk]):
+        if not dist[snk] < stop - pot[snk]:
+            if stop < np.inf:
+                pot += np.minimum(dist, stop - pot[snk])
             break
         # clamp unfinalized labels at dist[snk]; keeps reduced costs valid
-        pot_new = pot + np.minimum(dist, dist[snk])
+        pot += np.minimum(dist, dist[snk])
         # true per-unit cost of this augmentation in original costs
-        slope = pot_new[snk] - pot_new[src]
+        slope = pot[snk] - pot[src]
         path = [snk]
         while path[-1] != src:
             path.append(parent[path[-1]])
@@ -446,14 +475,14 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
         bottleneck = min(cap[tails, heads].tolist())
         cap[tails, heads] -= bottleneck
         cap[heads, tails] += bottleneck
-        pot = pot_new
-        segments.append(ParametricSegment(
-            m_lo=m_done, m_hi=m_done + bottleneck, t_lo=t_done,
-            slope=float(slope), flows_hi=cap[tgt, :n].T.copy(),
-        ))
+        if segments is not None:
+            segments.append(ParametricSegment(
+                m_lo=m_done, m_hi=m_done + bottleneck, t_lo=t_done,
+                slope=float(slope), flows_hi=cap[tgt, :n].T.copy(),
+            ))
         m_done += bottleneck
         t_done += float(slope) * bottleneck
-    return segments
+    return cap[tgt, :n].T.copy(), pot
 
 
 def _dijkstra_dense(reduced, src, snk):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from .dynamics import (build_source_model, cauchy_table,
                        continuous_dependence_check, sample_and_hold)
 from .flows import FlowConfig, build_velocity_model
 from .gw import GwParams, gw_brute_force, gw_distance, levy_prokhorov_1d
-from .measures import (DiscreteMeasure, load_measure, measure_from_json,
-                       save_measure, total_mass)
+from ._minflow import MASS_TOL
+from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, load_measure,
+                       measure_from_json, save_measure, total_mass)
 from .transport import wasserstein
 
 EXIT_OK = 0
@@ -137,9 +139,11 @@ def _validate_simulate_config(cfg: dict) -> list[str]:
     level = cfg.get("level")
     if level is None or not isinstance(level, int) or level < 0:
         problems.append("level: must be a nonnegative integer")
-    t_final = cfg.get("T", 1.0)
-    if not isinstance(t_final, (int, float)) or t_final <= 0:
-        problems.append("T: must be a positive number")
+    for field in ("T", "ode_step", "mass_cap"):
+        value = cfg.get(field, 1.0)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (value > 0 and math.isfinite(value))):
+            problems.append(f"{field}: must be a positive number")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         problems.append("params: must be an object with a, b, p")
@@ -162,7 +166,7 @@ def cmd_simulate(args) -> int:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     problems = _validate_simulate_config(cfg)
     if problems:
-        raise InputError("invalid config fields:\n  " + "\n  ".join(problems))
+        raise InputError("invalid config fields: " + "; ".join(problems))
 
     init = cfg["initial_measure"]
     if isinstance(init, str):
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True, help="removal unit cost")
     p.add_argument("--b", type=float, required=True, help="transport cost multiplier")
     p.add_argument("--p", type=float, default=1.0, help="cost exponent (>= 1)")
-    p.add_argument("--quantum", type=float, default=1e-9)
+    p.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
     p.add_argument("--plan-csv", type=str, default=None,
                    help="also write the plan as (i, j, flow) CSV")
     p.set_defaults(func=cmd_dist)
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wasserstein", help="equal-mass W_p between two measure files")
     p.add_argument("mu"); p.add_argument("nu")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9, help="allowed mass imbalance")
+    p.add_argument("--tol", type=float, default=MASS_TOL, help="allowed mass imbalance")
     p.add_argument("--plan-csv", type=str, default=None,
                    help="also write the plan as (i, j, flow) CSV")
     p.set_defaults(func=cmd_wasserstein)

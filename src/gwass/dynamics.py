@@ -30,8 +30,8 @@ import numpy as np
 
 from .flows import FlowConfig, VectorFieldModel, build_velocity_model, flow_pushforward
 from .gw import GwParams, gw_distance
-from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, add, canonicalize,
-                       scale, support_radius, total_mass)
+from .measures import (DiscreteMeasure, add, canonicalize, scale, support_radius,
+                       total_mass)
 
 
 # --- source models -----------------------------------------------------------
@@ -186,8 +186,7 @@ class Trajectory:
 
 def sample_and_hold(mu0: DiscreteMeasure, velocity: VectorFieldModel,
                     source: SourceModel, T: float, level: int,
-                    cfg: FlowConfig = FlowConfig(), max_level: int = 10,
-                    quantum: float = DEFAULT_QUANTUM) -> Trajectory:
+                    cfg: FlowConfig = FlowConfig(), max_level: int = 10) -> Trajectory:
     """Run the scheme at dyadic level ``level`` (dt = T / 2^level).
 
     Each snapshot is canonicalized, so deposits landing on occupied sites
@@ -212,12 +211,12 @@ def sample_and_hold(mu0: DiscreteMeasure, velocity: VectorFieldModel,
             f"{velocity.mass_cap}, but the run can reach {total_mass(mu0) + source.P}")
     steps = 1 << level
     dt = T / steps
-    current = canonicalize(mu0, quantum)
+    current = canonicalize(mu0)
     snaps = [(0.0, current)]
     for n in range(steps):
         moved = flow_pushforward(velocity, current, current, dt, cfg)
         deposit = scale(source.evaluate(current), dt)
-        current = canonicalize(add(moved, deposit), quantum)
+        current = canonicalize(add(moved, deposit))
         snaps.append(((n + 1) * dt, current))
     radius = getattr(velocity.base, "sup_radius", None)
     if radius is not None:
@@ -251,12 +250,6 @@ class CauchyTable:
     rows: tuple[CauchyRow, ...]
     slope: float | None
     constants: dict
-
-    def as_columns(self):
-        ks = np.array([r.level for r in self.rows])
-        ds = np.array([r.d_k for r in self.rows])
-        bs = np.array([r.bound for r in self.rows])
-        return ks, ds, bs
 
 
 def cauchy_table(mu0: DiscreteMeasure, velocity: VectorFieldModel,

@@ -9,17 +9,18 @@ i.e. mass may either be removed at unit cost a (on both sides) or
 transported at cost b per unit of W_p.  Restricting to sub-measures loses
 nothing: adding mass is never optimal.
 
-Three exact solver paths:
+Three exact solver paths, plus removal of everything when a side is empty:
 
-* p = 1: a single partial-transport LP.  Writing m for the transported
-  mass, the objective is a(|mu|+|nu|) + sum (b*d_ij - 2a) g_ij over
-  couplings with inequality marginals, and only arcs with b*d < 2a can
-  carry flow, which keeps the LP finite and exact.
 * p = 1 in one dimension: the flat-norm dual, max sum f d(mu - nu) over
   |f| <= a and Lip f <= b, solved by a chain DP on the sorted atoms; the
   kept masses follow from the optimal f by complementary slackness, and f
   certifies them.  Used by the particle-dynamics experiments, where atom
   counts grow into the thousands.
+* p = 1 in two or more dimensions: one partial-transport LP.  Writing m
+  for the transported mass, the objective is a(|mu|+|nu|) +
+  sum (b*d_ij - 2a) g_ij over couplings with inequality marginals, and only
+  arcs with b*d < 2a can carry flow.  :mod:`gwass._minflow` solves it on
+  the SSP below a measured crossover size and on HiGHS above it.
 * p > 1: the transported-mass parametrization.  T(m), the minimal coupling
   cost at transported mass m, is convex piecewise linear and is traced
   exactly by successive shortest paths; the objective
@@ -30,12 +31,11 @@ Three exact solver paths:
 Ties between transporting and removing are broken toward removal, so the
 witness decomposition is deterministic; the value is unaffected.
 
-Every path, including the closed forms for an empty side and for one atom
-on each side, hands its plan arcs as (rows, cols, flows) arrays to one
-witness builder, ``_assemble``.  It drops rounding residues by the rule of
-:data:`_minflow.FLOW_EPS`, takes the kept sub-measures from the arcs,
-recomposes the value once through :meth:`GwResult.value_from_parts` and
-checks it against the solver's optimum.  Tolerances are the constants of
+Every path, including the removal for an empty side, hands its plan arcs
+as (rows, cols, flows) arrays to one witness builder, ``_assemble``.  It
+drops rounding residues by the rule of :data:`_minflow.FLOW_EPS`, takes the
+kept sub-measures from the arcs, recomposes the value once through
+:meth:`GwResult.value_from_parts` and checks it against the solver's optimum.  Tolerances are the constants of
 :mod:`gwass._minflow`; each test on a value is relative to a(|mu| + |nu|).
 """
 
@@ -143,29 +143,10 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
     return replace(result, value=value)
 
 
-def _gw_single_atoms(mu, nu, params):
-    """Closed form for one atom on each side: transport all or nothing.
-
-    The objective as a function of the transported mass m is concave (for
-    every p >= 1), so only m = 0 and m = min(w, u) can be optimal.
-    """
-    w = float(mu.weights[0])
-    u = float(nu.weights[0])
-    d = float(np.linalg.norm(mu.positions[0] - nu.positions[0]))
-    c = min(w, u)
-    f_remove = params.a * (w + u)
-    f_full = params.a * (w + u - 2 * c) + params.b * c ** (1.0 / params.p) * d
-    if f_full < f_remove * (1.0 - TIE_EPS):
-        return _assemble(mu, nu, params, [0], [0], [c], f_full)
-    return _assemble(mu, nu, params, [], [], [], f_remove)
-
-
 def _gw_dense_p1(mu, nu, params):
     dist = cost_matrix(mu, nu, 1.0)
     arc_mask = params.b * dist < 2.0 * params.a * (1.0 - TIE_EPS)
     removal = params.a * (total_mass(mu) + total_mass(nu))
-    if not np.any(arc_mask):
-        return _assemble(mu, nu, params, [], [], [], removal)
     modified = params.b * dist - 2.0 * params.a
     flows, lp_obj = _minflow.solve_partial_transportation(modified, mu.weights, nu.weights, arc_mask)
     rows, cols = np.nonzero(flows)
@@ -221,8 +202,6 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     if mu_c.n_atoms == 0 or nu_c.n_atoms == 0:
         return _assemble(mu_c, nu_c, params, [], [], [],
                          params.a * (total_mass(mu_c) + total_mass(nu_c)))
-    if mu_c.n_atoms == 1 and nu_c.n_atoms == 1:
-        return _gw_single_atoms(mu_c, nu_c, params)
     if params.p != 1.0:
         return _gw_parametric(mu_c, nu_c, params)
     if mu_c.dim == 1:
@@ -231,8 +210,7 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
 
 
 def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
-                   grid_steps: int, max_points: int = 20_000_000,
-                   quantum: float = DEFAULT_QUANTUM) -> float:
+                   grid_steps: int, max_points: int = 20_000_000) -> float:
     """Exhaustive grid oracle for the generalized distance on tiny instances.
 
     Enumerates every coupling whose entries are multiples of
@@ -249,8 +227,8 @@ def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    mu_c = canonicalize(mu, quantum)
-    nu_c = canonicalize(nu, quantum)
+    mu_c = canonicalize(mu)
+    nu_c = canonicalize(nu)
     n, m = mu_c.n_atoms, nu_c.n_atoms
     if n + m > 6:
         raise ValueError(f"instance too large for the brute-force oracle: {n}+{m} atoms")
@@ -293,8 +271,7 @@ def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     return float(np.min(values))
 
 
-def levy_prokhorov_1d(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      quantum: float = DEFAULT_QUANTUM) -> float:
+def levy_prokhorov_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Levy-Prokhorov distance between two atomic probability measures on R.
 
     d(mu, nu) is the infimum of alpha > 0 such that, for every closed A,
@@ -311,8 +288,8 @@ def levy_prokhorov_1d(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("the Levy-Prokhorov comparator handles 1-d measures only")
-    mu_c = canonicalize(mu, quantum)
-    nu_c = canonicalize(nu, quantum)
+    mu_c = canonicalize(mu)
+    nu_c = canonicalize(nu)
     for name, meas in (("first", mu_c), ("second", nu_c)):
         if abs(total_mass(meas) - 1.0) > 1e-9:
             raise ValueError(f"{name} measure is not a probability measure")

@@ -80,9 +80,6 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return self.weights.shape[0]
 
-    def __len__(self) -> int:
-        return self.n_atoms
-
 
 def _lattice_keys(positions: np.ndarray, quantum: float) -> np.ndarray:
     keys = np.rint(positions / quantum)
@@ -119,22 +116,21 @@ def total_mass(mu: DiscreteMeasure) -> float:
     return float(np.sum(mu.weights))
 
 
-def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                quantum: float = DEFAULT_QUANTUM) -> float:
+def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Total-variation distance |mu - nu| between discrete measures.
 
-    Both measures are canonicalized at ``quantum``; the distance is the sum
-    over lattice sites of |w_mu - w_nu|, so atoms of one measure unmatched
-    by the other contribute their full weight.
+    Both measures are canonicalized; the distance is the sum over lattice
+    sites of |w_mu - w_nu|, so atoms of one measure unmatched by the other
+    contribute their full weight.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    cm = canonicalize(mu, quantum)
-    cn = canonicalize(nu, quantum)
+    cm = canonicalize(mu)
+    cn = canonicalize(nu)
     if cm.n_atoms == 0 and cn.n_atoms == 0:
         return 0.0
-    keys = np.concatenate([_lattice_keys(cm.positions, quantum),
-                           _lattice_keys(cn.positions, quantum)], axis=0)
+    keys = np.concatenate([_lattice_keys(cm.positions, DEFAULT_QUANTUM),
+                           _lattice_keys(cn.positions, DEFAULT_QUANTUM)], axis=0)
     signed = np.concatenate([cm.weights, -cn.weights])
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     acc = np.zeros(uniq.shape[0])

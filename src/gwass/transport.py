@@ -6,8 +6,8 @@ The distance is computed in unnormalized form
 
 over nonnegative couplings g whose row sums equal the source weights and
 whose column sums equal the target weights.  The solve is an exact
-transportation LP (HiGHS) whose optimality is re-certified from the dual
-solution; no entropic or other regularization is used anywhere.
+transportation LP (SSP or HiGHS, by size) whose optimality is re-certified
+from the duals; no entropic or other regularization is used anywhere.
 
 A :class:`TransportPlan` holds its arcs as three read-only arrays (source
 index, target index, flow).  W_p plans and the witness plans of the

@@ -145,8 +145,8 @@ def test_cauchy_table_zero_for_exact_scheme():
 def test_cauchy_table_reference_problem_small():
     mu0, vel, src, params = reference_problem()
     tab = cauchy_table(mu0, vel, src, 1.0, 3, 5, params, FlowConfig(1 / 64))
-    ks, ds, bounds = tab.as_columns()
-    assert np.all(ds <= bounds)
+    ds = np.array([row.d_k for row in tab.rows])
+    assert all(row.d_k <= row.bound for row in tab.rows)
     assert np.all(np.diff(ds) < 0)
     assert tab.slope is not None and tab.slope <= -0.8
     assert tab.constants["C2"] == pytest.approx(

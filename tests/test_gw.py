@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwass import _minflow
 from gwass.gw import (GwParams, _gw_dense_p1, _gw_parametric,
                       gw_brute_force, gw_distance)
 from gwass.lab import box_closed_form
@@ -75,17 +76,22 @@ def test_box_closed_form_against_scalar_minimization():
     assert box_closed_form(3.0) == pytest.approx(2.0)
 
 
-def test_solver_paths_agree():
+def test_solver_paths_agree(monkeypatch):
+    # at p=1: the line DP (1-d), the dense LP on each backend, and the
+    # parametric scan; sizes reach both sides of the SSP/HiGHS crossover
     rng = np.random.default_rng(17)
-    for _ in range(120):
-        mu = random_instance(rng)
-        nu = random_instance(rng)
-        params = GwParams(rng.uniform(0.1, 10), rng.uniform(0.1, 10), 1.0)
-        line = gw_distance(mu, nu, params).value
-        dense = _gw_dense_p1(canonicalize(mu), canonicalize(nu), params).value
-        scan = _gw_parametric(canonicalize(mu), canonicalize(nu), params).value
-        assert line == pytest.approx(dense, abs=1e-9, rel=1e-9)
-        assert line == pytest.approx(scan, abs=1e-9, rel=1e-9)
+    for dim, max_atoms, count in ((1, 6, 120), (2, 8, 60), (2, 20, 12), (3, 20, 12)):
+        for _ in range(count):
+            mu = canonicalize(random_instance(rng, dim, max_atoms))
+            nu = canonicalize(random_instance(rng, dim, max_atoms))
+            params = GwParams(rng.uniform(0.1, 10), rng.uniform(0.1, 10), 1.0)
+            scan = _gw_parametric(mu, nu, params).value
+            for ssp_max in (0, 1000):
+                with monkeypatch.context() as patch:
+                    patch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
+                    dense = _gw_dense_p1(mu, nu, params).value
+                assert dense == pytest.approx(scan, abs=1e-9, rel=1e-9)
+            assert gw_distance(mu, nu, params).value == pytest.approx(scan, abs=1e-9, rel=1e-9)
 
 
 def test_oracle_bounds_solver():
@@ -213,10 +219,9 @@ def test_identical_pairs_across_sixteen_decades_recompose_to_zero():
 
 def test_value_is_homogeneous_in_the_mass():
     # gw_{a,b}(k mu, k nu) = k gw_{a, b k^(1/p - 1)}(mu, nu) on every solver
-    # path; only the dense p=1 LP, whose HiGHS tolerances are absolute in
-    # mass, may raise at tiny total mass, and then it must raise
+    # path, with dense p=1 sizes on both sides of the SSP/HiGHS crossover
     rng = np.random.default_rng(2014)
-    sizes = [(1, 1), (1, 4), (3, 2), (5, 6), (6, 6)]
+    sizes = [(1, 1), (1, 4), (3, 2), (5, 6), (6, 6), (16, 14)]
     for dim in (1, 2):
         for p in (1.0, 2.0):
             for n, m in sizes:
@@ -224,15 +229,37 @@ def test_value_is_homogeneous_in_the_mass():
                 nu = DiscreteMeasure(dim, rng.uniform(-2, 2, (m, dim)), rng.uniform(0.05, 2, m))
                 a, b = rng.uniform(0.2, 3), rng.uniform(0.2, 3)
                 slack = 1e-9 * a * (total_mass(mu) + total_mass(nu))
-                dense = dim == 2 and p == 1.0 and n * m > 1
                 for k in (1e-15, 1e-12, 1e-9, 1e9, 1e12, 1e15):
                     unit = gw_distance(mu, nu, GwParams(a, b * k ** (1 / p - 1), p)).value
-                    try:
-                        scaled = gw_distance(scale(mu, k), scale(nu, k), GwParams(a, b, p)).value
-                    except RuntimeError:
-                        assert dense and k < 1e-7
-                        continue
+                    scaled = gw_distance(scale(mu, k), scale(nu, k), GwParams(a, b, p)).value
                     assert abs(scaled / k - unit) <= slack, (dim, p, n, m, k)
+
+
+@pytest.mark.parametrize("lo, hi, count", [(5, 8, 12), (20, 24, 3)])
+def test_dense_p1_with_huge_masses_and_tiny_b(lo, hi, count, monkeypatch):
+    # weights 10^U(7, 9) with b/a = 10^U(-6, -3): HiGHS can report such
+    # bounded LPs "unbounded"; the SSP solves them below the crossover and
+    # is HiGHS's fallback above it
+    highs_failures = []
+
+    def highs(*args):
+        solved = highs_solve(*args)
+        highs_failures.append(solved is None)
+        return solved
+
+    highs_solve = _minflow._highs
+    monkeypatch.setattr(_minflow, "_highs", highs)
+    rng = np.random.default_rng(79 + lo)
+    for _ in range(count):
+        n, m = (int(v) for v in rng.integers(lo, hi + 1, 2))
+        mu = DiscreteMeasure(2, rng.uniform(-3, 3, (n, 2)), 10.0 ** rng.uniform(7, 9, n))
+        nu = DiscreteMeasure(2, rng.uniform(-3, 3, (m, 2)), 10.0 ** rng.uniform(7, 9, m))
+        a = rng.uniform(0.1, 2)
+        params = GwParams(a, a * 10.0 ** rng.uniform(-6, -3))
+        value = gw_distance(mu, nu, params).value
+        scan = _gw_parametric(canonicalize(mu), canonicalize(nu), params).value
+        assert abs(value - scan) <= 1e-9 * a * (total_mass(mu) + total_mass(nu))
+    assert any(highs_failures) == (lo > _minflow.SSP_MAX_ATOMS)
 
 
 def test_identity_of_indiscernibles():

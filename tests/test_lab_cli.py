@@ -224,7 +224,9 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
                                     {"initial_measure": {"dim": 1, "atoms": [{"x": [0.9], "w": 1.0}]},
                                      "velocity": {"base": {"kind": "linear", "matrix": [[1.0]],
                                                            "sup_radius": 1.0},
-                                                  "kernel": {"kind": "zero"}}}])
+                                                  "kernel": {"kind": "zero"}}},
+                                    {"ode_step": -1}, {"ode_step": 0}, {"ode_step": "abc"},
+                                    {"mass_cap": "x"}])
 def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
     mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
     config = {

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gwass import _minflow
 from gwass.measures import DiscreteMeasure, scale, total_mass
 from gwass.transport import (MassMismatchError, TransportPlan, cost_matrix,
                              wasserstein)
@@ -132,7 +133,9 @@ def test_mass_mismatch_rejected():
         wasserstein(DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0), 0.5)
 
 
-def test_solver_matches_vertex_enumeration():
+def test_solver_matches_vertex_enumeration(monkeypatch):
+    # each instance on both backends: the SSP (the default for these sizes)
+    # and HiGHS (when no instance is small enough for the SSP)
     rng = np.random.default_rng(11)
     for _ in range(60):
         n, m = rng.integers(1, 4), rng.integers(1, 4)
@@ -142,10 +145,13 @@ def test_solver_matches_vertex_enumeration():
         w_target *= total_mass(mu) / np.sum(w_target)
         nu = DiscreteMeasure(dim, rng.uniform(-2, 2, (m, dim)), w_target)
         p = float(rng.choice([1.0, 2.0]))
-        got = wasserstein(mu, nu, p)
         expected = vertex_oracle(cost_matrix(mu, nu, p), mu.weights, nu.weights)
-        assert got.value ** p == pytest.approx(expected, abs=1e-9, rel=1e-9)
-        got.plan.check_marginals()
+        for ssp_max in (_minflow.SSP_MAX_ATOMS, 0):
+            with monkeypatch.context() as patch:
+                patch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
+                got = wasserstein(mu, nu, p)
+            assert got.value ** p == pytest.approx(expected, abs=1e-9, rel=1e-9)
+            got.plan.check_marginals()
 
 
 def test_metric_axioms_on_equal_mass_instances():
