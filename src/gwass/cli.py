@@ -153,8 +153,14 @@ def _validate_simulate_config(cfg: dict) -> list[str]:
             or not all(isinstance(k, int) for k in k_range) or k_range[0] > k_range[1]):
         problems.append("k_range: must be [k_min, k_max] with k_min <= k_max")
     dep = cfg.get("dependence")
-    if dep is not None and (not isinstance(dep, dict) or "shift" not in dep):
-        problems.append("dependence: must be an object with a 'shift' field")
+    if dep is not None:
+        shift = dep.get("shift") if isinstance(dep, dict) else None
+        if (isinstance(shift, bool) or not isinstance(shift, (int, float))
+                or not math.isfinite(shift)):
+            problems.append("dependence: must be an object with a finite number 'shift'")
+        elif "level" in dep and (isinstance(dep["level"], bool)
+                                 or not isinstance(dep["level"], int) or dep["level"] < 0):
+            problems.append("dependence.level: must be a nonnegative integer")
     return problems
 
 
@@ -181,11 +187,12 @@ def cmd_simulate(args) -> int:
         params = GwParams(p_cfg.get("a", 1.0), p_cfg.get("b", 1.0), p_cfg.get("p", 1.0))
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid params: {exc}") from exc
+    dep = cfg.get("dependence")
     levels = [cfg["level"]]
     if cfg.get("k_range"):
         levels.append(cfg["k_range"][1] + 1)
-    if cfg.get("dependence"):
-        levels.append(int(cfg["dependence"].get("level", cfg["level"])))
+    if dep:
+        levels.append(dep.get("level", cfg["level"]))
     top_level = max(levels)
     max_level = cfg.get("max_level", 10)
     if not isinstance(max_level, int) or max_level < 0:
@@ -203,11 +210,24 @@ def cmd_simulate(args) -> int:
     ode_step = cfg.get("ode_step", t_final / (1 << top_level))
     flow_cfg = FlowConfig(float(ode_step))
 
+    # every computation runs before the first file is written, so a run that
+    # fails on its input leaves no partial output behind
+    table = rows = None
     try:
         traj = sample_and_hold(mu0, velocity, source, t_final, cfg["level"],
                                flow_cfg, max_level)
+        if cfg.get("k_range"):
+            k_min, k_max = cfg["k_range"]
+            table = cauchy_table(mu0, velocity, source, t_final, k_min, k_max,
+                                 params, flow_cfg, max_level)
+        if dep:
+            shifted = DiscreteMeasure(mu0.dim, mu0.positions + dep["shift"], mu0.weights)
+            rows = continuous_dependence_check(
+                mu0, shifted, velocity, source, t_final,
+                dep.get("level", cfg["level"]), params, flow_cfg, max_level)
     except ValueError as exc:
         raise InputError(f"invalid run: {exc}") from exc
+
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     snapshot_files = []
@@ -226,11 +246,9 @@ def cmd_simulate(args) -> int:
         "level": cfg["level"],
         "T": t_final,
         "constants": {k: float(v) for k, v in sorted(traj.constants(params.p).items())},
+        "atom_counts": [snap.n_atoms for _, snap in traj.snapshots],
     }
-    if cfg.get("k_range"):
-        k_min, k_max = cfg["k_range"]
-        table = cauchy_table(mu0, velocity, source, t_final, k_min, k_max,
-                             params, flow_cfg, max_level)
+    if table is not None:
         with open(out / "cauchy.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "D_k", "bound"])
@@ -238,13 +256,7 @@ def cmd_simulate(args) -> int:
                 writer.writerow([row.level, repr(row.d_k), repr(row.bound)])
         summary["cauchy_slope"] = table.slope
         summary["cauchy_rows"] = len(table.rows)
-    if cfg.get("dependence"):
-        dep = cfg["dependence"]
-        shift = float(dep["shift"])
-        shifted = DiscreteMeasure(mu0.dim, mu0.positions + shift, mu0.weights)
-        rows = continuous_dependence_check(
-            mu0, shifted, velocity, source, t_final,
-            int(dep.get("level", cfg["level"])), params, flow_cfg, max_level)
+    if rows is not None:
         with open(out / "dependence.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "value", "bound"])

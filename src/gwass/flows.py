@@ -126,35 +126,52 @@ class BumpKernel:
     def make_conv(self, src_pos, src_w):
         """Closure evaluating sum_i w_i K(x - y_i) on batches of points.
 
-        In one dimension the bump is a quartic polynomial of x - y on its
-        support window, so the convolution reduces to five windowed moments
-        sum w * y^q, read off prefix sums in O(log n) per point.  Higher
-        dimensions fall back to chunked pairwise evaluation.
+        In one dimension the bump is a quartic polynomial of x on the window
+        |x - y| < r, so the convolution is that quartic with windowed sums of
+        its five coefficients.  The coefficients are taken in the centered,
+        scaled coordinate t = (x - c) / r, with c the midpoint of the source
+        span, and stored as one (n + 1, 5) prefix-sum table; each point costs
+        two binary searches, one row gather per window edge and a Horner
+        evaluation (docs/derivations.md section 11).  Sources that are already
+        sorted, as a canonical measure is, skip the sort.  Higher dimensions
+        fall back to chunked pairwise evaluation.
         """
         if src_pos.shape[0] == 0:
             return ZeroKernel().make_conv(src_pos, src_w)
         if src_pos.shape[1] == 1:
-            order = np.argsort(src_pos[:, 0], kind="stable")
-            ys = src_pos[order, 0]
-            ws = src_w[order]
-            powers = np.stack([ws * ys ** q for q in range(5)], axis=0)
-            prefix = np.concatenate([np.zeros((5, 1)), np.cumsum(powers, axis=1)], axis=1)
-            r, h = self.radius, self.height
-            r2, r4 = r * r, r ** 4
+            ys, ws = src_pos[:, 0], src_w
+            if np.any(ys[1:] < ys[:-1]):
+                order = np.argsort(ys, kind="stable")
+                ys, ws = ys[order], ws[order]
+            r = self.radius
+            c = 0.5 * (ys[0] + ys[-1])
+            s = (ys - c) / r
+            s2 = s * s
+            coef = np.empty((ys.shape[0] + 1, 5))
+            coef[0] = 0.0
+            coef[1:, 0] = (1.0 - s2) ** 2
+            coef[1:, 1] = 4.0 * s * (1.0 - s2)
+            coef[1:, 2] = 6.0 * s2 - 2.0
+            coef[1:, 3] = -4.0 * s
+            coef[1:, 4] = 1.0
+            coef[1:] *= (self.height * ws)[:, None]
+            # cumulated and differenced in place: extra (n, 5) temporaries per
+            # step fragment the heap that a trajectory's snapshots keep alive
+            prefix = np.cumsum(coef, axis=0, out=coef)
             direction = self.direction
 
             def conv(x):
                 xv = x[:, 0]
                 lo = np.searchsorted(ys, xv - r, side="left")
                 hi = np.searchsorted(ys, xv + r, side="right")
-                s = prefix[:, hi] - prefix[:, lo]
-                x1 = xv
-                x2 = x1 * x1
-                x3 = x2 * x1
-                x4 = x2 * x2
-                z2 = x2 * s[0] - 2 * x1 * s[1] + s[2]
-                z4 = x4 * s[0] - 4 * x3 * s[1] + 6 * x2 * s[2] - 4 * x1 * s[3] + s[4]
-                vals = h * (s[0] - 2.0 * z2 / r2 + z4 / r4)
+                m = np.take(prefix, hi, axis=0)
+                m -= np.take(prefix, lo, axis=0)
+                t = (xv - c) / r
+                vals = m[:, 4] * t
+                for q in (3, 2, 1):
+                    vals += m[:, q]
+                    vals *= t
+                vals += m[:, 0]
                 return vals[:, None] * direction
 
             return conv

@@ -90,12 +90,32 @@ def _lattice_keys(positions: np.ndarray, quantum: float) -> np.ndarray:
     return keys.astype(np.int64)
 
 
+def _merge_sites(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the (n, d) int64 ``keys`` and the sum of ``weights`` on each.
+
+    Rows come out in lexicographic order.  The sort is stable, so each
+    site's weights are added in input order, starting from 0.0.
+    """
+    if keys.shape[1] == 1:
+        order = np.argsort(keys[:, 0], kind="stable")
+    else:
+        order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    first = np.empty(sorted_keys.shape[0], dtype=bool)
+    first[0] = True
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=first[1:])
+    sums = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    return sorted_keys[first], sums
+
+
 def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM) -> DiscreteMeasure:
     """Snap atoms to the quantization lattice and merge coincident ones.
 
-    Atoms whose merged weight is exactly zero are dropped.  Output atoms are
-    sorted lexicographically by lattice key, which makes every downstream
-    computation independent of input ordering.
+    Output atoms are sorted lexicographically by lattice key, which makes
+    every downstream computation independent of input ordering.  The sort is
+    stable and each merged weight is summed in input order, so the output is
+    a deterministic function of the input sequence.  Atoms whose merged
+    weight is exactly zero are dropped.
     Raises ``ValueError`` when a lattice index |x| / quantum does not fit in
     int64, rather than letting distant atoms wrap around and merge.
     """
@@ -103,12 +123,9 @@ def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM) -> Discr
         raise ValueError("quantum must be positive")
     if mu.n_atoms == 0:
         return mu
-    keys = _lattice_keys(mu.positions, quantum)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    w = np.zeros(uniq.shape[0])
-    np.add.at(w, inverse.ravel(), mu.weights)
+    sites, w = _merge_sites(_lattice_keys(mu.positions, quantum), mu.weights)
     keep = w > 0
-    return DiscreteMeasure(mu.dim, uniq[keep] * quantum, w[keep])
+    return DiscreteMeasure(mu.dim, sites[keep] * quantum, w[keep])
 
 
 def total_mass(mu: DiscreteMeasure) -> float:
@@ -132,10 +149,7 @@ def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     keys = np.concatenate([_lattice_keys(cm.positions, DEFAULT_QUANTUM),
                            _lattice_keys(cn.positions, DEFAULT_QUANTUM)], axis=0)
     signed = np.concatenate([cm.weights, -cn.weights])
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    acc = np.zeros(uniq.shape[0])
-    np.add.at(acc, inverse.ravel(), signed)
-    return float(np.sum(np.abs(acc)))
+    return float(np.sum(np.abs(_merge_sites(keys, signed)[1])))
 
 
 def push_forward(mu: DiscreteMeasure, gamma: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:

@@ -100,6 +100,37 @@ def test_bump_kernel_fast_path_matches_naive():
     assert np.max(np.abs(fast[:, 0] - slow)) < 1e-12
 
 
+def brute_bump(x, src, w, radius, height):
+    z = np.abs(x[:, 0:1] - src[:, 0][None, :])
+    return (height * np.clip(1 - (z / radius) ** 2, 0, None) ** 2) @ w
+
+
+def test_bump_kernel_centered_far_from_origin():
+    # the moments are taken about the middle of the source span, so only the
+    # span, not the distance to the origin, costs accuracy
+    rng = np.random.default_rng(6)
+    kern = BumpKernel(0.5, 0.7, dim=1)
+    for offset in (0.0, 10.0, 100.0):
+        src = offset + rng.uniform(-1, 1, (400, 1))
+        w = rng.uniform(0, 1, 400)
+        x = offset + rng.uniform(-1.7, 1.7, (300, 1))
+        slow = brute_bump(x, src, w, 0.5, 0.7)
+        fast = kern.make_conv(src, w)(x)[:, 0]
+        assert np.max(np.abs(fast - slow)) <= 1e-11 * np.max(np.abs(slow))
+
+
+def test_bump_kernel_shuffled_source_matches_sorted():
+    rng = np.random.default_rng(7)
+    kern = BumpKernel(0.3, -1.2, dim=1)
+    src = np.sort(rng.uniform(-2, 2, 500))[:, None]
+    w = rng.uniform(0, 0.2, 500)
+    x = rng.uniform(-2.5, 2.5, (200, 1))
+    ref = kern.make_conv(src, w)(x)
+    order = rng.permutation(500)
+    shuffled = kern.make_conv(src[order], w[order])(x)
+    assert np.max(np.abs(shuffled - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_bump_kernel_2d_pairwise():
     kern = BumpKernel(1.0, 0.5, direction=[0.0, 1.0], dim=2)
     src = np.array([[0.0, 0.0]])

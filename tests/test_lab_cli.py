@@ -172,6 +172,9 @@ def test_cli_simulate_translation(tmp_path, capsys):
     assert len(masses) == 34
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["level"] == 5
+    counts = summary["atom_counts"]
+    assert len(counts) == 33 and counts[0] == 8
+    assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_cli_simulate_with_tables(tmp_path, capsys):
@@ -226,7 +229,9 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
                                                            "sup_radius": 1.0},
                                                   "kernel": {"kind": "zero"}}},
                                     {"ode_step": -1}, {"ode_step": 0}, {"ode_step": "abc"},
-                                    {"mass_cap": "x"}])
+                                    {"mass_cap": "x"}, {"dependence": {"shift": "x"}},
+                                    {"dependence": {"shift": 0.1, "level": "abc"}},
+                                    {"dependence": {"shift": 1e12}}])
 def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
     mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
     config = {

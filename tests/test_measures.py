@@ -146,6 +146,44 @@ def test_canonicalize_lattice_range():
     assert np.array_equal(c.weights, [2.0, 1.0])
 
 
+def unique_merge(keys, weights):
+    """The merge that canonicalize used before its sort-merge: np.unique over
+    key rows, then np.add.at of the weights into the distinct rows."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros(uniq.shape[0])
+    np.add.at(sums, inverse.ravel(), weights)
+    return uniq, sums
+
+
+def test_canonicalize_matches_unique_merge_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        dim = 1 + trial % 3
+        quantum = (1e-9, 0.5)[trial % 2]
+        n = int(rng.integers(1, 80))
+        # few lattice sites, negative ones included, so many atoms share a
+        # site; the jitter stays under half a quantum and snaps back onto it
+        sites = rng.integers(-6, 7, (n, dim)) * rng.choice([1.0, 7.0])
+        pos = (sites + rng.uniform(-0.4, 0.4, (n, dim))) * quantum
+        w = rng.exponential(1.0, n) * (rng.random(n) < 0.8)
+        mu = DiscreteMeasure(dim, pos, w)
+        keys = np.rint(pos / quantum).astype(np.int64)
+        uniq, sums = unique_merge(keys, w)
+        keep = sums > 0
+        c = canonicalize(mu, quantum)
+        assert np.array_equal(c.positions, uniq[keep] * quantum)
+        assert np.array_equal(c.weights, sums[keep])
+        # tv_distance merges signed weights, so sites can cancel
+        order = rng.permutation(n)
+        nu = DiscreteMeasure(dim, mu.positions[order] + 1e-9 * (rng.random((n, dim)) < 0.3),
+                             mu.weights[order])
+        cm, cn = canonicalize(mu), canonicalize(nu)
+        both = np.concatenate([cm.positions, cn.positions]) / 1e-9
+        _, signed = unique_merge(np.rint(both).astype(np.int64),
+                                 np.concatenate([cm.weights, -cn.weights]))
+        assert tv_distance(mu, nu) == float(np.sum(np.abs(signed)))
+
+
 def test_json_round_trip_bit_exact():
     rng = np.random.default_rng(5)
     mu = DiscreteMeasure(3, rng.standard_normal((7, 3)), rng.uniform(0, 2, 7))
