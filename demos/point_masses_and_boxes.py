@@ -30,7 +30,7 @@ def main():
     print("(x = 0) to pure removal (x >= 2).\n")
     print(f"{'x':>5} {'solver(n=200)':>14} {'closed form':>12} {'kept mass y*':>13}")
     for x in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
-        r = gw_distance(box_measure(-1.0, 200), box_measure(x, 200), params)
+        r = gw_distance(box_measure(-1.0), box_measure(x), params)
         kept = sum(r.kept_source.weights)
         print(f"{x:5.1f} {r.value:14.6f} {box_closed_form(x):12.6f} {kept:13.6f}")
     print("\nThe n = 200 midpoint discretization tracks the continuum value to")

@@ -15,8 +15,7 @@ from .transport import MassMismatchError, TransportPlan, WpResult, wasserstein
 from .gw import (GwParams, GwResult, gw_brute_force, gw_distance,
                  levy_prokhorov_1d)
 from .flows import (FieldConstants, FlowConfig, VectorFieldModel,
-                    build_velocity_model, flow_estimate_report,
-                    flow_pushforward)
+                    build_velocity_model, flow_pushforward)
 from .dynamics import (SourceModel, Trajectory, build_source_model,
                        cauchy_table, continuous_dependence_check,
                        reference_problem, sample_and_hold)
@@ -29,8 +28,7 @@ __all__ = [
     "GwParams", "GwResult", "gw_brute_force", "gw_distance",
     "levy_prokhorov_1d",
     "FieldConstants", "FlowConfig", "VectorFieldModel",
-    "build_velocity_model", "flow_estimate_report",
-    "flow_pushforward",
+    "build_velocity_model", "flow_pushforward",
     "SourceModel", "Trajectory", "build_source_model", "cauchy_table",
     "continuous_dependence_check", "reference_problem", "sample_and_hold",
 ]

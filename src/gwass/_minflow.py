@@ -61,31 +61,30 @@ class OptimalityCertificateError(RuntimeError):
     """The LP solution returned by the backend failed KKT re-verification."""
 
 
-def _check_certificate(c, a_mat, rhs, senses, x, y, mass, bounds_upper=None):
+def _check_certificate(c, a_mat, rhs, partial, x, y, mass, bounds_upper=None):
     """Re-verify LP optimality from primal/dual pair (x, y).
 
-    ``senses`` holds '=' or '<' per row of ``a_mat``.  Conditions checked:
-    primal feasibility, dual sign for inequality rows (y <= 0 for a
-    minimization with A x <= b), complementary slackness on rows, and
-    reduced-cost conditions against the variable bounds.  Primal values are
-    tested to CERT_TOL * ``mass`` (the total mass), duals to CERT_TOL times
-    the largest |c| (1 if all are 0).  Raises OptimalityCertificateError.
+    Every row of ``a_mat`` is an inequality A x <= b if ``partial``, else an
+    equality.  Conditions checked: primal feasibility, dual sign for
+    inequality rows (y <= 0 for a minimization with A x <= b), complementary
+    slackness on rows, and reduced-cost conditions against the variable
+    bounds.  Primal values are tested to CERT_TOL * ``mass`` (the total
+    mass), duals to CERT_TOL times the largest |c| (1 if all are 0).
+    Raises OptimalityCertificateError.
     """
     tol_m = CERT_TOL * mass
     tol_c = CERT_TOL * (float(np.max(np.abs(c))) or 1.0)
     ax = a_mat @ x
-    senses = np.asarray(senses)
-    eq = senses == "="
-    if eq.any() and np.max(np.abs(ax[eq] - rhs[eq])) > tol_m:
-        raise OptimalityCertificateError("equality row violated")
-    ineq = ~eq
-    if ineq.any():
-        slack = rhs[ineq] - ax[ineq]
+    if not partial:
+        if np.max(np.abs(ax - rhs)) > tol_m:
+            raise OptimalityCertificateError("equality row violated")
+    else:
+        slack = rhs - ax
         if np.min(slack) < -tol_m:
             raise OptimalityCertificateError("inequality row violated")
-        if np.max(y[ineq]) > tol_c:
+        if np.max(y) > tol_c:
             raise OptimalityCertificateError("dual sign violated on inequality row")
-        if np.max(np.abs(y[ineq]) * np.maximum(slack, 0.0)) > tol_c * mass:
+        if np.max(np.abs(y) * np.maximum(slack, 0.0)) > tol_c * mass:
             raise OptimalityCertificateError("complementary slackness violated")
     reduced = c - a_mat.T @ y
     at_lower = x <= tol_m
@@ -96,17 +95,17 @@ def _check_certificate(c, a_mat, rhs, senses, x, y, mass, bounds_upper=None):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
-def _highs(c, a_mat, rhs, senses, mass):
+def _highs(c, a_mat, rhs, partial, mass):
     """HiGHS backend of :func:`_solve_lp`, on costs scaled to a largest |cost|
     of 1: ``(x, value)``, or None if HiGHS fails or its duals fail the check."""
     c_scale = float(np.max(np.abs(c))) or 1.0
-    rows = {"A_ub": a_mat, "b_ub": rhs} if senses[0] == "<" else {"A_eq": a_mat, "b_eq": rhs}
+    rows = {"A_ub": a_mat, "b_ub": rhs} if partial else {"A_eq": a_mat, "b_eq": rhs}
     res = linprog(c / c_scale, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS, **rows)
     if res.status != 0:
         return None
-    duals = (res.ineqlin if senses[0] == "<" else res.eqlin).marginals
+    duals = (res.ineqlin if partial else res.eqlin).marginals
     try:
-        _check_certificate(c / c_scale, a_mat, rhs, senses, res.x, duals, mass)
+        _check_certificate(c / c_scale, a_mat, rhs, partial, res.x, duals, mass)
     except OptimalityCertificateError:
         return None
     return res.x, float(res.fun) * c_scale
@@ -127,9 +126,8 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
                                                  np.concatenate([k, k]))), shape=(n + m, k.size))
     rhs = np.concatenate([supply, demand])
     c = cost.ravel()[arcs]
-    senses = ["<" if partial else "="] * (n + m)
     mass = float(np.sum(supply) + (np.sum(demand) if partial else 0.0))
-    solved = _highs(c, a_mat, rhs, senses, mass) if max(n, m) > SSP_MAX_ATOMS else None
+    solved = _highs(c, a_mat, rhs, partial, mass) if max(n, m) > SSP_MAX_ATOMS else None
     if solved is None:
         # Dijkstra needs costs >= 0; a source-to-sink path has one forward
         # arc more than backward arcs, so its cost shifts by exactly ``shift``
@@ -140,7 +138,7 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
             duals = np.minimum(0.0, np.concatenate([-pot[:n], pot[n:n + m] - pot[-1]]))
         else:
             duals = np.concatenate([-pot[:n], pot[n:n + m] + shift])
-        _check_certificate(c, a_mat, rhs, senses, x, duals, mass)
+        _check_certificate(c, a_mat, rhs, partial, x, duals, mass)
         solved = x, float(np.dot(c, x))
     flows.ravel()[arcs] = solved[0]
     return flows, solved[1]

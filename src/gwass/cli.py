@@ -128,6 +128,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _is_int(value) -> bool:
+    """JSON integer: an int that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """JSON number: an int or a float that is not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_simulate_config(cfg: dict) -> list[str]:
     problems = []
     if "initial_measure" not in cfg:
@@ -136,30 +146,31 @@ def _validate_simulate_config(cfg: dict) -> list[str]:
         problems.append("velocity: missing (base/kernel model description)")
     if "source" not in cfg:
         problems.append("source: missing (source model description)")
-    level = cfg.get("level")
-    if level is None or not isinstance(level, int) or level < 0:
-        problems.append("level: must be a nonnegative integer")
+    for field, default in (("level", None), ("max_level", 10)):
+        value = cfg.get(field, default)
+        if not _is_int(value) or value < 0:
+            problems.append(f"{field}: must be a nonnegative integer")
     for field in ("T", "ode_step", "mass_cap"):
         value = cfg.get(field, 1.0)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (value > 0 and math.isfinite(value))):
+        if not _is_number(value) or not (value > 0 and math.isfinite(value)):
             problems.append(f"{field}: must be a positive number")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         problems.append("params: must be an object with a, b, p")
+    else:
+        problems.extend(f"params.{key}: must be a number"
+                        for key in ("a", "b", "p") if key in params and not _is_number(params[key]))
     k_range = cfg.get("k_range")
     if k_range is not None and (
             not isinstance(k_range, list) or len(k_range) != 2
-            or not all(isinstance(k, int) for k in k_range) or k_range[0] > k_range[1]):
+            or not all(_is_int(k) for k in k_range) or k_range[0] > k_range[1]):
         problems.append("k_range: must be [k_min, k_max] with k_min <= k_max")
     dep = cfg.get("dependence")
     if dep is not None:
         shift = dep.get("shift") if isinstance(dep, dict) else None
-        if (isinstance(shift, bool) or not isinstance(shift, (int, float))
-                or not math.isfinite(shift)):
+        if not _is_number(shift) or not math.isfinite(shift):
             problems.append("dependence: must be an object with a finite number 'shift'")
-        elif "level" in dep and (isinstance(dep["level"], bool)
-                                 or not isinstance(dep["level"], int) or dep["level"] < 0):
+        elif "level" in dep and (not _is_int(dep["level"]) or dep["level"] < 0):
             problems.append("dependence.level: must be a nonnegative integer")
     return problems
 
@@ -195,8 +206,6 @@ def cmd_simulate(args) -> int:
         levels.append(dep.get("level", cfg["level"]))
     top_level = max(levels)
     max_level = cfg.get("max_level", 10)
-    if not isinstance(max_level, int) or max_level < 0:
-        raise InputError(f"max_level must be a nonnegative integer, got {max_level!r}")
     if top_level > max_level:
         raise InputError(f"level {top_level} exceeds max_level {max_level}; "
                          "raise max_level in the config explicitly")

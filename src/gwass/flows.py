@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gw import GwParams, gw_distance
-from .measures import DiscreteMeasure, total_mass
+from .gw import GwParams
+from .measures import DiscreteMeasure
 
 #: max |d/du (1-u^2)^2| on [0,1], attained at u = 1/sqrt(3)
 _BUMP_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
@@ -328,86 +328,3 @@ def flow_pushforward(model: VectorFieldModel, carrier: DiscreteMeasure,
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return DiscreteMeasure(carrier.dim, x, carrier.weights)
 
-
-# --- stability estimates --------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-
-    def holds(self, tol: float = 1e-6) -> bool:
-        return self.lhs <= self.rhs + tol
-
-
-@dataclass(frozen=True)
-class FlowEstimateReport:
-    checks: tuple[BoundCheck, ...]
-
-    def all_hold(self, tol: float = 1e-6) -> bool:
-        return all(c.holds(tol) for c in self.checks)
-
-
-def frozen_gap_bound(model: VectorFieldModel, mu: DiscreteMeasure,
-                     model2: VectorFieldModel, nu: DiscreteMeasure) -> float:
-    """Certified upper bound on sup_x |v[mu](x) - w[nu](x)|.
-
-    Exact for two constant bases; otherwise the base parts are bounded by
-    the triangle inequality.  Kernel parts are bounded by sup|K| * mass.
-    """
-    if isinstance(model.base, ConstantBase) and isinstance(model2.base, ConstantBase):
-        base_gap = float(np.linalg.norm(model.base.c - model2.base.c))
-    else:
-        base_gap = model.base.sup + model2.base.sup
-    return (base_gap + model.kernel.sup * total_mass(mu)
-            + model2.kernel.sup * total_mass(nu))
-
-
-def flow_estimate_report(model: VectorFieldModel, model2: VectorFieldModel,
-                         mu: DiscreteMeasure, nu: DiscreteMeasure, t: float,
-                         p: float, params: GwParams,
-                         cfg: FlowConfig = FlowConfig()) -> FlowEstimateReport:
-    """Numerically evaluate the three flow stability bounds.
-
-    With v the field of ``model`` frozen at mu and w the field of ``model2``
-    frozen at nu, L their largest certified Lipschitz constant:
-
-    1. gw(Phi^v_t # mu, Phi^v_t # nu) <= exp(((p+1)/p) L t) * gw(mu, nu)
-    2. gw(mu, Phi^v_t # mu) <= b * t * M_v * |mu|^(1/p)
-    3. gw(Phi^v_t # mu, Phi^w_t # nu) <= exp(((p+1)/p) L t) * gw(mu, nu)
-         + b * |mu|^(1/p) * (exp(Lt/p)(exp(Lt)-1)/L) * ||v - w||_C0
-
-    Bounds 2 and 3 carry the transport multiplier b: they are proved by
-    splitting an optimal decomposition and paying b per unit of the inner
-    W_p cost, so the displacement terms scale with b.  At b = 1 they reduce
-    to the classical unscaled statements (which fail for b > 1: already for
-    a point mass under a constant field, gw(delta_0, delta_ct) = b t |c|
-    whenever b t |c| < 2a).  The caller asserts lhs <= rhs + tol per pair.
-    """
-    gp = GwParams(params.a, params.b, p)
-    base_dist = gw_distance(mu, nu, gp).value
-    push_mu_v = flow_pushforward(model, mu, mu, t, cfg)
-    push_nu_v = flow_pushforward(model, nu, mu, t, cfg)
-    push_nu_w = flow_pushforward(model2, nu, nu, t, cfg)
-    lip = max(model.constants.L, model2.constants.L)
-    growth = math.exp((p + 1.0) / p * lip * t)
-    mass_root = total_mass(mu) ** (1.0 / p)
-
-    if lip > 1e-12:
-        mix = math.exp(lip * t / p) * (math.exp(lip * t) - 1.0) / lip
-    else:
-        mix = t
-    checks = (
-        BoundCheck("same-field contraction",
-                   gw_distance(push_mu_v, push_nu_v, gp).value,
-                   growth * base_dist),
-        BoundCheck("displacement",
-                   gw_distance(mu, push_mu_v, gp).value,
-                   params.b * t * model.constants.M * mass_root),
-        BoundCheck("mixed-field",
-                   gw_distance(push_mu_v, push_nu_w, gp).value,
-                   growth * base_dist
-                   + params.b * mass_root * mix * frozen_gap_bound(model, mu, model2, nu)),
-    )
-    return FlowEstimateReport(checks)

@@ -209,8 +209,12 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     return _gw_dense_p1(mu_c, nu_c, params)
 
 
+#: Cap on the number of lattice plans the brute-force oracle enumerates.
+_BRUTE_FORCE_MAX_POINTS = 20_000_000
+
+
 def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
-                   grid_steps: int, max_points: int = 20_000_000) -> float:
+                   grid_steps: int) -> float:
     """Exhaustive grid oracle for the generalized distance on tiny instances.
 
     Enumerates every coupling whose entries are multiples of
@@ -223,7 +227,7 @@ def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
         oracle - true <= 2 * a * (number of arcs) * delta.
 
     Limits: at most 6 atoms in total and at most 50 grid steps; the lattice
-    is also capped at ``max_points`` plans.
+    is also capped at _BRUTE_FORCE_MAX_POINTS plans.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -253,7 +257,7 @@ def gw_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
         room = np.minimum(w_cap[i] - row_used[:, i], u_cap[j] - col_used[:, j])
         room = np.minimum(room, grid_steps - tot_used)
         counts = room + 1
-        if int(np.sum(counts)) > max_points:
+        if int(np.sum(counts)) > _BRUTE_FORCE_MAX_POINTS:
             raise ValueError("instance too large: brute-force lattice exceeds the point budget")
         rep = np.repeat(np.arange(plans.shape[0]), counts)
         offsets = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)

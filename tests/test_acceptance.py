@@ -64,16 +64,16 @@ def test_criterion_01_dirac_formula():
 def test_criterion_02_box_example():
     with criterion(2, "two-box family matches min_y 2-2y+xy+y^2 within 0.02 at n=200", 10.0):
         params = GwParams(1.0, 1.0, 1.0)
-        left = box_measure(-1.0, 200)
+        left = box_measure(-1.0)
         for x in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
-            r = gw_distance(left, box_measure(x, 200), params)
+            r = gw_distance(left, box_measure(x), params)
             _audit(params, r)
             assert abs(r.value - box_closed_form(x)) <= 0.02
 
 
 def test_criterion_03_metric_axioms():
     with criterion(3, "metric axioms + structural bounds on 1000 random instances", 60.0):
-        report = run_metric_suite(trials=1000, seed=None, tol=1e-9, plan_hook=_audit)
+        report = run_metric_suite(trials=1000, seed=None, plan_hook=_audit)
         for check in report.checks:
             assert check.passed, f"{check.check_id}: {check.lhs} vs {check.rhs}"
 
@@ -124,7 +124,7 @@ def test_criterion_05_truncation_radius():
 
 def test_criterion_06_comparator_case_table():
     with criterion(6, "four-regime comparator table at a=1/2, b=1", 1.0):
-        report = run_prokhorov_suite(p_values=(1.0, 2.0))
+        report = run_prokhorov_suite()
         for check in report.checks:
             assert check.passed, f"{check.check_id}: {check.lhs} vs {check.rhs}"
             assert check.tolerance <= 1e-9
@@ -168,6 +168,6 @@ def test_criterion_09_continuous_dependence():
 
 def test_criterion_10_metrization_demo():
     with criterion(10, "escaping-atom sequence: gw -> 0 while W_1 stays 1", 5.0):
-        report = run_metrization_suite(k_max=50)
+        report = run_metrization_suite()
         for check in report.checks:
             assert check.passed, f"{check.check_id}: {check.lhs} vs {check.rhs}"

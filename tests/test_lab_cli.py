@@ -231,7 +231,9 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
                                     {"ode_step": -1}, {"ode_step": 0}, {"ode_step": "abc"},
                                     {"mass_cap": "x"}, {"dependence": {"shift": "x"}},
                                     {"dependence": {"shift": 0.1, "level": "abc"}},
-                                    {"dependence": {"shift": 1e12}}])
+                                    {"dependence": {"shift": 1e12}},
+                                    {"level": True}, {"level": 1, "max_level": True},
+                                    {"k_range": [False, True]}, {"params": {"a": True}}])
 def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
     mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
     config = {

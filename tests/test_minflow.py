@@ -42,7 +42,7 @@ def line_lp_oracle(src_pos, src_w, tgt_pos, tgt_w, a, b):
                   method="highs")
     assert res.status == 0, res.message
     mass = float(np.sum(src_w) + np.sum(tgt_w))
-    _check_certificate(c, a_mat, rhs, ["="] * n_nodes, res.x, res.eqlin.marginals, mass,
+    _check_certificate(c, a_mat, rhs, False, res.x, res.eqlin.marginals, mass,
                        bounds_upper=upper)
     return a * mass + float(res.fun)
 

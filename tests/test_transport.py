@@ -135,7 +135,9 @@ def test_mass_mismatch_rejected():
 
 def test_solver_matches_vertex_enumeration(monkeypatch):
     # each instance on both backends: the SSP (the default for these sizes)
-    # and HiGHS (when no instance is small enough for the SSP)
+    # and HiGHS (when no instance is small enough for the SSP).  wasserstein
+    # answers a single atom on either side in closed form, so the LP itself
+    # is also called directly, on the masses scaled to 1 as wasserstein does
     rng = np.random.default_rng(11)
     for _ in range(60):
         n, m = rng.integers(1, 4), rng.integers(1, 4)
@@ -145,13 +147,19 @@ def test_solver_matches_vertex_enumeration(monkeypatch):
         w_target *= total_mass(mu) / np.sum(w_target)
         nu = DiscreteMeasure(dim, rng.uniform(-2, 2, (m, dim)), w_target)
         p = float(rng.choice([1.0, 2.0]))
-        expected = vertex_oracle(cost_matrix(mu, nu, p), mu.weights, nu.weights)
+        cost = cost_matrix(mu, nu, p)
+        expected = vertex_oracle(cost, mu.weights, nu.weights)
+        supply, demand = mu.weights / total_mass(mu), nu.weights / total_mass(nu)
         for ssp_max in (_minflow.SSP_MAX_ATOMS, 0):
             with monkeypatch.context() as patch:
                 patch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
                 got = wasserstein(mu, nu, p)
+                flows, raw = _minflow.solve_transportation(cost, supply, demand)
             assert got.value ** p == pytest.approx(expected, abs=1e-9, rel=1e-9)
             got.plan.check_marginals()
+            assert total_mass(mu) * raw == pytest.approx(expected, abs=1e-9, rel=1e-9)
+            assert np.allclose(flows.sum(axis=1), supply, rtol=0, atol=1e-9)
+            assert np.allclose(flows.sum(axis=0), demand, rtol=0, atol=1e-9)
 
 
 def test_metric_axioms_on_equal_mass_instances():
