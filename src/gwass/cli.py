@@ -138,7 +138,23 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _validate_simulate_config(cfg: dict) -> list[str]:
+#: Every simulate config field and its default.  None marks a required field,
+#: an optional table, or a default that depends on the run (ode_step, mass_cap).
+_SIMULATE_DEFAULTS = {
+    "initial_measure": None, "velocity": None, "source": None, "level": None,
+    "max_level": 10, "T": 1.0, "ode_step": None, "mass_cap": None, "params": {},
+    "k_range": None, "dependence": None,
+}
+
+
+def _validate_simulate_config(cfg: dict) -> dict:
+    """The config's fields, checked and with their defaults filled.
+
+    ``ode_step`` and ``mass_cap`` stay None when absent: their defaults
+    depend on the run.  Raises InputError naming every bad field.
+    """
+    if not isinstance(cfg, dict):
+        raise InputError("invalid config: must be a JSON object")
     problems = []
     if "initial_measure" not in cfg:
         problems.append("initial_measure: missing (path or inline measure object)")
@@ -146,33 +162,39 @@ def _validate_simulate_config(cfg: dict) -> list[str]:
         problems.append("velocity: missing (base/kernel model description)")
     if "source" not in cfg:
         problems.append("source: missing (source model description)")
-    for field, default in (("level", None), ("max_level", 10)):
-        value = cfg.get(field, default)
+    settings = {key: cfg.get(key, default) for key, default in _SIMULATE_DEFAULTS.items()}
+    for field in ("level", "max_level"):
+        value = settings[field]
         if not _is_int(value) or value < 0:
             problems.append(f"{field}: must be a nonnegative integer")
     for field in ("T", "ode_step", "mass_cap"):
-        value = cfg.get(field, 1.0)
-        if not _is_number(value) or not (value > 0 and math.isfinite(value)):
+        value = settings[field]
+        if field in cfg and (not _is_number(value) or not (value > 0 and math.isfinite(value))):
             problems.append(f"{field}: must be a positive number")
-    params = cfg.get("params", {})
+    params = settings["params"]
     if not isinstance(params, dict):
         problems.append("params: must be an object with a, b, p")
     else:
         problems.extend(f"params.{key}: must be a number"
                         for key in ("a", "b", "p") if key in params and not _is_number(params[key]))
-    k_range = cfg.get("k_range")
+        settings["params"] = {key: params.get(key, 1.0) for key in ("a", "b", "p")}
+    k_range = settings["k_range"]
     if k_range is not None and (
             not isinstance(k_range, list) or len(k_range) != 2
             or not all(_is_int(k) for k in k_range) or k_range[0] > k_range[1]):
         problems.append("k_range: must be [k_min, k_max] with k_min <= k_max")
-    dep = cfg.get("dependence")
+    dep = settings["dependence"]
     if dep is not None:
         shift = dep.get("shift") if isinstance(dep, dict) else None
         if not _is_number(shift) or not math.isfinite(shift):
             problems.append("dependence: must be an object with a finite number 'shift'")
         elif "level" in dep and (not _is_int(dep["level"]) or dep["level"] < 0):
             problems.append("dependence.level: must be a nonnegative integer")
-    return problems
+        else:
+            settings["dependence"] = {"shift": shift, "level": dep.get("level", settings["level"])}
+    if problems:
+        raise InputError("invalid config fields: " + "; ".join(problems))
+    return settings
 
 
 def cmd_simulate(args) -> int:
@@ -181,11 +203,9 @@ def cmd_simulate(args) -> int:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
-    problems = _validate_simulate_config(cfg)
-    if problems:
-        raise InputError("invalid config fields: " + "; ".join(problems))
+    settings = _validate_simulate_config(cfg)
 
-    init = cfg["initial_measure"]
+    init = settings["initial_measure"]
     if isinstance(init, str):
         mu0 = _load(init)
     else:
@@ -193,47 +213,50 @@ def cmd_simulate(args) -> int:
             mu0 = measure_from_json(init)
         except ValueError as exc:
             raise InputError(f"invalid initial_measure: {exc}") from exc
-    p_cfg = cfg.get("params", {})
     try:
-        params = GwParams(p_cfg.get("a", 1.0), p_cfg.get("b", 1.0), p_cfg.get("p", 1.0))
-    except (TypeError, ValueError) as exc:
+        params = GwParams(**settings["params"])
+    except ValueError as exc:
         raise InputError(f"invalid params: {exc}") from exc
-    dep = cfg.get("dependence")
-    levels = [cfg["level"]]
-    if cfg.get("k_range"):
-        levels.append(cfg["k_range"][1] + 1)
-    if dep:
-        levels.append(dep.get("level", cfg["level"]))
+    level, max_level = settings["level"], settings["max_level"]
+    k_range, dep = settings["k_range"], settings["dependence"]
+    levels = [level]
+    if k_range is not None:
+        levels.append(k_range[1] + 1)
+    if dep is not None:
+        levels.append(dep["level"])
     top_level = max(levels)
-    max_level = cfg.get("max_level", 10)
     if top_level > max_level:
         raise InputError(f"level {top_level} exceeds max_level {max_level}; "
                          "raise max_level in the config explicitly")
     try:
-        source = build_source_model(cfg["source"])
-        mass_cap = cfg.get("mass_cap", total_mass(mu0) + source.P)
-        velocity = build_velocity_model(cfg["velocity"], params, mass_cap, dim=mu0.dim)
+        source = build_source_model(settings["source"])
+        mass_cap = settings["mass_cap"]
+        if mass_cap is None:
+            mass_cap = total_mass(mu0) + source.P
+        velocity = build_velocity_model(settings["velocity"], params, mass_cap, dim=mu0.dim)
     except (KeyError, ValueError) as exc:
         raise InputError(f"invalid model config: {exc}") from exc
-    t_final = float(cfg.get("T", 1.0))
-    ode_step = cfg.get("ode_step", t_final / (1 << top_level))
+    t_final = float(settings["T"])
+    ode_step = settings["ode_step"]
+    if ode_step is None:
+        ode_step = t_final / (1 << top_level)
     flow_cfg = FlowConfig(float(ode_step))
 
     # every computation runs before the first file is written, so a run that
     # fails on its input leaves no partial output behind
     table = rows = None
     try:
-        traj = sample_and_hold(mu0, velocity, source, t_final, cfg["level"],
+        traj = sample_and_hold(mu0, velocity, source, t_final, level,
                                flow_cfg, max_level)
-        if cfg.get("k_range"):
-            k_min, k_max = cfg["k_range"]
+        if k_range is not None:
+            k_min, k_max = k_range
             table = cauchy_table(mu0, velocity, source, t_final, k_min, k_max,
                                  params, flow_cfg, max_level)
-        if dep:
+        if dep is not None:
             shifted = DiscreteMeasure(mu0.dim, mu0.positions + dep["shift"], mu0.weights)
             rows = continuous_dependence_check(
                 mu0, shifted, velocity, source, t_final,
-                dep.get("level", cfg["level"]), params, flow_cfg, max_level)
+                dep["level"], params, flow_cfg, max_level)
     except ValueError as exc:
         raise InputError(f"invalid run: {exc}") from exc
 
@@ -252,7 +275,7 @@ def cmd_simulate(args) -> int:
 
     summary = {
         "snapshots": snapshot_files,
-        "level": cfg["level"],
+        "level": level,
         "T": t_final,
         "constants": {k: float(v) for k, v in sorted(traj.constants(params.p).items())},
         "atom_counts": [snap.n_atoms for _, snap in traj.snapshots],

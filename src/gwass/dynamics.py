@@ -134,6 +134,15 @@ def build_source_model(config: dict) -> SourceModel:
 
 # --- trajectories --------------------------------------------------------------
 
+def _step(velocity: VectorFieldModel, source: SourceModel, current: DiscreteMeasure,
+          tau: float, cfg: FlowConfig) -> DiscreteMeasure:
+    """One scheme step of length tau: push ``current`` along the field frozen
+    at it, then deposit tau times the source frozen at it."""
+    moved = flow_pushforward(velocity, current, current, tau, cfg)
+    deposit = scale(source.evaluate(current), tau)
+    return canonicalize(add(moved, deposit))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Dyadic-grid run of the scheme at one refinement level.
@@ -164,9 +173,7 @@ class Trajectory:
         base = self.snapshots[n][1]
         if tau <= 1e-14:
             return base
-        moved = flow_pushforward(self.velocity, base, base, tau, self.cfg)
-        deposit = scale(self.source.evaluate(base), tau)
-        return canonicalize(add(moved, deposit))
+        return _step(self.velocity, self.source, base, tau, self.cfg)
 
     def masses(self) -> np.ndarray:
         return np.array([total_mass(m) for _, m in self.snapshots])
@@ -214,9 +221,7 @@ def sample_and_hold(mu0: DiscreteMeasure, velocity: VectorFieldModel,
     current = canonicalize(mu0)
     snaps = [(0.0, current)]
     for n in range(steps):
-        moved = flow_pushforward(velocity, current, current, dt, cfg)
-        deposit = scale(source.evaluate(current), dt)
-        current = canonicalize(add(moved, deposit))
+        current = _step(velocity, source, current, dt, cfg)
         snaps.append(((n + 1) * dt, current))
     radius = getattr(velocity.base, "sup_radius", None)
     if radius is not None:

@@ -3,8 +3,11 @@
 Each suite re-derives a family of exact identities or inequalities from the
 library primitives and reports one row per check: the quantity computed,
 the bound or expected value it is held against, the tolerance, and a pass
-flag.  Random suites draw from a seeded generator (``GWASS_SEED`` overrides
-the default), so reports are reproducible byte for byte.
+flag.  A check evaluated on many instances reports its worst one.  The
+seeded suites, ``metric``, ``flows`` and ``scheme``, draw from a generator
+seeded by ``seed`` (``GWASS_SEED`` overrides the default), so reports are
+reproducible byte for byte; the other three draw nothing and report no seed.
+:data:`SUITES` names the options each suite reads.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +29,6 @@ from .measures import DiscreteMeasure, add, scale, total_mass
 from .transport import wasserstein
 
 DEFAULT_SEED = 20121
-
-SUITE_NAMES = ("metric", "examples", "flows", "scheme", "prokhorov", "metrization")
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -101,19 +103,15 @@ def random_measure(rng: np.random.Generator, max_atoms: int = 8, dim: int = 1,
     return DiscreteMeasure(dim, pos, w)
 
 
-class _Worst:
-    """Tracks the largest lhs - rhs margin seen across trials."""
-
-    def __init__(self):
-        self.margin = -math.inf
-        self.lhs = 0.0
-        self.rhs = 0.0
-
-    def update(self, lhs: float, rhs: float):
-        if lhs - rhs > self.margin:
-            self.margin = lhs - rhs
-            self.lhs = lhs
-            self.rhs = rhs
+def _worst(checks: Iterable[CheckResult]) -> tuple[CheckResult, ...]:
+    """Per check id, in first-seen order, the check of largest lhs - rhs
+    (the first one on ties)."""
+    worst = {}
+    for check in checks:
+        kept = worst.get(check.check_id)
+        if kept is None or check.lhs - check.rhs > kept.lhs - kept.rhs:
+            worst[check.check_id] = check
+    return tuple(worst.values())
 
 
 # --- metric suite ---------------------------------------------------------------
@@ -130,9 +128,7 @@ def run_metric_suite(trials: int = 1000, seed: int | None = None,
     t0 = time.time()
     rng = np.random.default_rng(resolve_seed(seed))
     hook = plan_hook or (lambda params, result: None)
-    worst = {name: _Worst() for name in
-             ("symmetry", "triangle", "lower_bound", "upper_bound",
-              "subadditivity", "scaling", "identity")}
+    checks = []
     for _ in range(trials):
         dim = int(rng.integers(1, 4))
         p = float(rng.choice([1.0, 2.0]))
@@ -151,32 +147,27 @@ def run_metric_suite(trials: int = 1000, seed: int | None = None,
         hook(params, r_me)
         g_me = r_me.value
         scale_ref = max(1.0, g_mn, g_me)
-        worst["symmetry"].update(abs(g_mn - g_nm) / scale_ref, 0.0)
-        worst["triangle"].update((g_me - g_mn - g_ne) / scale_ref, 0.0)
         wm, wn = total_mass(mu), total_mass(nu)
-        worst["lower_bound"].update(params.a * abs(wm - wn) - g_mn, 0.0)
-        worst["upper_bound"].update(g_mn - params.a * (wm + wn), 0.0)
         g_sum = gw_distance(add(mu, nu), add(nu, eta), params).value
-        worst["subadditivity"].update((g_sum - g_mn - g_ne) / max(1.0, g_sum), 0.0)
         k = float(rng.uniform(0.0, 3.0))
         g_k = gw_distance(scale(mu, k), scale(nu, k), params).value
-        worst["scaling"].update(
-            (g_k - max(k ** (1.0 / p), k) * g_mn) / max(1.0, g_k), 0.0)
-        worst["identity"].update(gw_distance(mu, mu, params).value, 0.0)
-    statements = {
-        "symmetry": "gw(mu,nu) = gw(nu,mu)",
-        "triangle": "gw(mu,eta) <= gw(mu,nu) + gw(nu,eta)",
-        "lower_bound": "a*| |mu|-|nu| | <= gw(mu,nu)",
-        "upper_bound": "gw(mu,nu) <= a*(|mu|+|nu|)",
-        "subadditivity": "gw(mu1+mu2,nu1+nu2) <= gw(mu1,nu1)+gw(mu2,nu2)",
-        "scaling": "gw(k*mu,k*nu) <= max(k^(1/p),k)*gw(mu,nu)",
-        "identity": "gw(mu,mu) = 0",
-    }
-    checks = tuple(
-        CheckResult(name, statements[name], w.lhs, w.rhs, 1e-9)
-        for name, w in worst.items()
-    )
-    return SuiteReport("metric", checks, seed=resolve_seed(seed),
+        checks += [
+            CheckResult("symmetry", "gw(mu,nu) = gw(nu,mu)",
+                        abs(g_mn - g_nm) / scale_ref, 0.0, 1e-9),
+            CheckResult("triangle", "gw(mu,eta) <= gw(mu,nu) + gw(nu,eta)",
+                        (g_me - g_mn - g_ne) / scale_ref, 0.0, 1e-9),
+            CheckResult("lower_bound", "a*| |mu|-|nu| | <= gw(mu,nu)",
+                        params.a * abs(wm - wn) - g_mn, 0.0, 1e-9),
+            CheckResult("upper_bound", "gw(mu,nu) <= a*(|mu|+|nu|)",
+                        g_mn - params.a * (wm + wn), 0.0, 1e-9),
+            CheckResult("subadditivity", "gw(mu1+mu2,nu1+nu2) <= gw(mu1,nu1)+gw(mu2,nu2)",
+                        (g_sum - g_mn - g_ne) / max(1.0, g_sum), 0.0, 1e-9),
+            CheckResult("scaling", "gw(k*mu,k*nu) <= max(k^(1/p),k)*gw(mu,nu)",
+                        (g_k - max(k ** (1.0 / p), k) * g_mn) / max(1.0, g_k), 0.0, 1e-9),
+            CheckResult("identity", "gw(mu,mu) = 0",
+                        gw_distance(mu, mu, params).value, 0.0, 1e-9),
+        ]
+    return SuiteReport("metric", _worst(checks), seed=resolve_seed(seed),
                        constants={"trials": trials},
                        wall_time_s=time.time() - t0)
 
@@ -204,22 +195,20 @@ def box_closed_form(offset: float) -> float:
     return 2.0 - 2.0 * y + offset * y + y * y
 
 
-def run_examples_suite(seed: int | None = None) -> SuiteReport:
+def run_examples_suite() -> SuiteReport:
     """Closed-form reproductions: point masses, the two-box family, the
     mass-splitting two-atom instance, and the comparator cases."""
     t0 = time.time()
     checks = []
 
-    worst = _Worst()
     for a in (0.5, 1.0, 2.0):
         for b in (0.5, 1.0, 2.0):
             for x in np.arange(0.1, 5.0 + 1e-12, 0.1):
                 got = gw_distance(DiscreteMeasure.dirac(0.0),
                                   DiscreteMeasure.dirac(float(x)),
                                   GwParams(a, b, 1.0)).value
-                worst.update(abs(got - min(2.0 * a, b * x)), 0.0)
-    checks.append(CheckResult("dirac_formula", "gw(delta_0, delta_x) = min{2a, b*x}",
-                              worst.lhs, worst.rhs, 1e-9))
+                checks.append(CheckResult("dirac_formula", "gw(delta_0, delta_x) = min{2a, b*x}",
+                                          abs(got - min(2.0 * a, b * x)), 0.0, 1e-9))
 
     mu = DiscreteMeasure.from_atoms(1, [([1.0], 2.0)])
     nu = DiscreteMeasure.from_atoms(1, [([0.0], 1.0), ([2.0], 1.0)])
@@ -246,8 +235,7 @@ def run_examples_suite(seed: int | None = None) -> SuiteReport:
     checks.append(CheckResult("lp_mixed", "d_LP(delta_0, mix at -0.3/1.5) = sup{1/2, d_1} = 0.5",
                               abs(levy_prokhorov_1d(mu, mixed) - 0.5), 0.0, 1e-9))
 
-    return SuiteReport("examples", tuple(checks), seed=resolve_seed(seed),
-                       constants={"box_atoms": BOX_ATOMS},
+    return SuiteReport("examples", _worst(checks), constants={"box_atoms": BOX_ATOMS},
                        wall_time_s=time.time() - t0)
 
 
@@ -337,7 +325,7 @@ def run_flows_suite(trials: int = 100, seed: int | None = None) -> SuiteReport:
     each check reports its worst trial."""
     t0 = time.time()
     rng = np.random.default_rng(resolve_seed(seed))
-    worst = {}
+    checks = []
     cfg = FlowConfig(1.0 / 256.0)
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
@@ -349,11 +337,8 @@ def run_flows_suite(trials: int = 100, seed: int | None = None) -> SuiteReport:
         model = _random_model(rng, params, dim, mass_cap)
         model2 = _random_model(rng, params, dim, mass_cap)
         t = float(rng.uniform(0.0, 0.5))
-        for check in flow_estimate_report(model, model2, mu, nu, t, params, cfg):
-            kept = worst.get(check.check_id)
-            if kept is None or check.lhs - check.rhs > kept.lhs - kept.rhs:
-                worst[check.check_id] = check
-    return SuiteReport("flows", tuple(worst.values()), seed=resolve_seed(seed),
+        checks += flow_estimate_report(model, model2, mu, nu, t, params, cfg)
+    return SuiteReport("flows", _worst(checks), seed=resolve_seed(seed),
                        constants={"trials": trials},
                        wall_time_s=time.time() - t0)
 
@@ -385,17 +370,15 @@ def run_scheme_suite(seed: int | None = None) -> SuiteReport:
     consts = table.constants
     m_const = consts["m"]
     speed = consts["M"] * m_const + consts["P"]
-    worst_step = _Worst()
     snaps = traj.snapshots
     rng = np.random.default_rng(resolve_seed(seed))
     idx = rng.integers(0, len(snaps), size=(24, 2))
     for i, j in idx:
         ti, mi = snaps[i]
         tj, mj = snaps[j]
-        d = gw_distance(mi, mj, params).value
-        worst_step.update(d, abs(ti - tj) * speed)
-    checks.append(CheckResult("step_difference", "gw(mu_t, mu_s) <= |t-s|*(M*m+P)",
-                              worst_step.lhs, worst_step.rhs, 1e-6))
+        checks.append(CheckResult("step_difference", "gw(mu_t, mu_s) <= |t-s|*(M*m+P)",
+                                  gw_distance(mi, mj, params).value,
+                                  abs(ti - tj) * speed, 1e-6))
     mass_lhs = float(np.max(traj.masses()) ** (1.0 / params.p))
     checks.append(CheckResult("mass_bound", "|mu_t|^(1/p) <= m = (|mu_0|+P)^(1/p)",
                               mass_lhs, m_const, 1e-12))
@@ -405,17 +388,14 @@ def run_scheme_suite(seed: int | None = None) -> SuiteReport:
                               dep_radius, source.R, 0.0))
 
     shifted = DiscreteMeasure(1, mu0.positions + 0.05, mu0.weights)
-    dep_rows = continuous_dependence_check(mu0, shifted, velocity, source, 1.0, 4,
-                                           params, cfg)
-    worst_dep = _Worst()
-    for row in dep_rows:
-        worst_dep.update(row.distance, row.bound)
-    checks.append(CheckResult(
-        "continuous_dependence",
-        "gw(mu_t,nu_t) <= exp(t*(2L+2mN+Q+1))*gw(mu_0,nu_0) at p=1",
-        worst_dep.lhs, worst_dep.rhs, 1e-9))
+    for row in continuous_dependence_check(mu0, shifted, velocity, source, 1.0, 4,
+                                           params, cfg):
+        checks.append(CheckResult(
+            "continuous_dependence",
+            "gw(mu_t,nu_t) <= exp(t*(2L+2mN+Q+1))*gw(mu_0,nu_0) at p=1",
+            row.distance, row.bound, 1e-9))
 
-    return SuiteReport("scheme", tuple(checks), seed=resolve_seed(seed),
+    return SuiteReport("scheme", _worst(checks), seed=resolve_seed(seed),
                        constants=consts, wall_time_s=time.time() - t0)
 
 
@@ -427,7 +407,7 @@ def _three_atom_pair(d1: float, d2: float):
     return mu, nu
 
 
-def run_prokhorov_suite(seed: int | None = None) -> SuiteReport:
+def run_prokhorov_suite() -> SuiteReport:
     """Four-regime comparison of the comparator metric with gw at a=1/2, b=1.
 
     For mu = delta_0 and nu = (delta_{-d1} + delta_{d2})/2 with d1 <= d2:
@@ -460,13 +440,12 @@ def run_prokhorov_suite(seed: int | None = None) -> SuiteReport:
             checks.append(CheckResult(
                 f"gw_{name}_p={p}", f"gw regime '{name}' at a=1/2, b=1 (d1={d1}, d2={d2})",
                 abs(got - gw_formula(d1, d2, p)), 0.0, 1e-9))
-    return SuiteReport("prokhorov", tuple(checks), seed=resolve_seed(seed),
-                       wall_time_s=time.time() - t0)
+    return SuiteReport("prokhorov", tuple(checks), wall_time_s=time.time() - t0)
 
 
 # --- metrization suite ---------------------------------------------------------------
 
-def run_metrization_suite(seed: int | None = None) -> SuiteReport:
+def run_metrization_suite() -> SuiteReport:
     """The escaping-atom sequence mu_k = (1 - 1/k) delta_0 + (1/k) delta_k.
 
     It converges weakly to delta_0 and indeed gw(mu_k, delta_0) <= 2/k -> 0
@@ -478,47 +457,51 @@ def run_metrization_suite(seed: int | None = None) -> SuiteReport:
     k_max = 50
     params = GwParams(1.0, 1.0, 1.0)
     target = DiscreteMeasure.dirac(0.0)
-    gws = []
-    worst_gw = _Worst()
-    worst_w1 = _Worst()
+    gws, checks, w1_checks = [], [], []
     for k in range(2, k_max + 1):
         mu_k = DiscreteMeasure.from_atoms(
             1, [([0.0], 1.0 - 1.0 / k), ([float(k)], 1.0 / k)])
         g = gw_distance(mu_k, target, params).value
         gws.append(g)
-        worst_gw.update(g, 2.0 / k)
+        checks.append(CheckResult("gw_bound", "gw(mu_k, delta_0) <= 2a/k",
+                                  g, 2.0 / k, 1e-12))
         w1 = wasserstein(mu_k, target, 1.0).value
-        worst_w1.update(abs(w1 - 1.0), 0.0)
-    diffs = np.diff(gws)
-    checks = (
-        CheckResult("gw_bound", "gw(mu_k, delta_0) <= 2a/k",
-                    worst_gw.lhs, worst_gw.rhs, 1e-12),
+        w1_checks.append(CheckResult("w1_constant", "W_1(mu_k, delta_0) = 1 for all k",
+                                     abs(w1 - 1.0), 0.0, 1e-9))
+    checks += [
         CheckResult("gw_monotone", "gw(mu_k, delta_0) decreases to 0",
-                    float(np.max(diffs)), 0.0, 1e-12),
+                    float(np.max(np.diff(gws))), 0.0, 1e-12),
         CheckResult("gw_limit", "gw(mu_k, delta_0) -> 0",
                     gws[-1], 2.0 / k_max, 1e-12),
-        CheckResult("w1_constant", "W_1(mu_k, delta_0) = 1 for all k",
-                    worst_w1.lhs, worst_w1.rhs, 1e-9),
-    )
-    return SuiteReport("metrization", checks, seed=resolve_seed(seed),
-                       constants={"k_max": k_max}, wall_time_s=time.time() - t0)
+    ]
+    return SuiteReport("metrization", _worst(checks + w1_checks), constants={"k_max": k_max},
+                       wall_time_s=time.time() - t0)
 
 
 # --- dispatcher --------------------------------------------------------------------
 
+#: Each suite's runner and the options it reads; ``run_suite`` rejects the rest.
+SUITES = {
+    "metric": (run_metric_suite, ("seed", "trials")),
+    "examples": (run_examples_suite, ()),
+    "flows": (run_flows_suite, ("seed", "trials")),
+    "scheme": (run_scheme_suite, ("seed",)),
+    "prokhorov": (run_prokhorov_suite, ()),
+    "metrization": (run_metrization_suite, ()),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, seed: int | None = None, trials: int | None = None) -> SuiteReport:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    runner, reads = SUITES[name]
+    given = {key: value for key, value in (("seed", seed), ("trials", trials))
+             if value is not None}
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise ValueError(f"suite {name!r} does not read {' or '.join(unread)}; it reads "
+                         + (" and ".join(reads) if reads else "no option"))
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if name == "metric":
-        return run_metric_suite(trials=trials or 1000, seed=seed)
-    if name == "examples":
-        return run_examples_suite(seed=seed)
-    if name == "flows":
-        return run_flows_suite(trials=trials or 100, seed=seed)
-    if name == "scheme":
-        return run_scheme_suite(seed=seed)
-    if name == "prokhorov":
-        return run_prokhorov_suite(seed=seed)
-    if name == "metrization":
-        return run_metrization_suite(seed=seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    return runner(**given)

@@ -94,6 +94,50 @@ def test_solver_paths_agree(monkeypatch):
             assert gw_distance(mu, nu, params).value == pytest.approx(scan, abs=1e-9, rel=1e-9)
 
 
+def test_dense_p1_matches_network_simplex(monkeypatch):
+    # an oracle independent of both LP backends: integer weights make the
+    # min-cost flow integral, so networkx solves it exactly on costs rounded
+    # to 1/S; rounding moves the optimum by at most 0.5/S per unit transported
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(41)
+    S = 10 ** 6
+    sizes = []
+
+    def lattice_measure():
+        n = int(rng.integers(1, 17))
+        return canonicalize(DiscreteMeasure(2, rng.integers(0, 6, (n, 2)).astype(float),
+                                            rng.integers(1, 6, n).astype(float)))
+
+    for _ in range(60):
+        mu, nu = lattice_measure(), lattice_measure()
+        params = GwParams(rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0), 1.0)
+        wm, wn = total_mass(mu), total_mass(nu)
+        sizes.append(max(mu.n_atoms, nu.n_atoms))
+        flow = min(wm, wn)
+        graph = nx.DiGraph()
+        graph.add_node("s", demand=-int(flow))
+        graph.add_node("t", demand=int(flow))
+        graph.add_edge("s", "t", weight=0)
+        for i, w in enumerate(mu.weights):
+            graph.add_edge("s", ("x", i), capacity=int(w), weight=0)
+        for j, u in enumerate(nu.weights):
+            graph.add_edge(("y", j), "t", capacity=int(u), weight=0)
+        for i, x in enumerate(mu.positions):
+            for j, y in enumerate(nu.positions):
+                d = float(np.linalg.norm(x - y))
+                if params.b * d < 2.0 * params.a:
+                    graph.add_edge(("x", i), ("y", j),
+                                   weight=round(S * (params.b * d - 2.0 * params.a)))
+        oracle = params.a * (wm + wn) + nx.network_simplex(graph)[0] / S
+        bound = 0.5 * flow / S + 1e-9 * params.a * (wm + wn)
+        for ssp_max in (_minflow.SSP_MAX_ATOMS, 0):
+            with monkeypatch.context() as patch:
+                patch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
+                assert abs(_gw_dense_p1(mu, nu, params).value - oracle) <= bound
+    # the default crossover sends some instances to each backend
+    assert min(sizes) <= _minflow.SSP_MAX_ATOMS < max(sizes)
+
+
 def test_oracle_bounds_solver():
     rng = np.random.default_rng(29)
     for _ in range(40):

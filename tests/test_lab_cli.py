@@ -114,6 +114,20 @@ def test_cli_verify_rejects_trials_below_one(capsys):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_options_a_suite_does_not_read(tmp_path, capsys):
+    # only metric and flows read --trials and only they and scheme read --seed;
+    # an option the suite would ignore is a usage error, not a silent no-op
+    for argv in (["prokhorov", "--trials", "7"], ["metrization", "--trials", "3"],
+                 ["scheme", "--trials", "2"], ["examples", "--seed", "4"]):
+        assert main(["verify", *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    out = tmp_path / "report.json"
+    assert main(["verify", "prokhorov", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["seed"] is None
+
+
 def test_cli_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
@@ -121,8 +135,8 @@ def test_cli_verify_unknown_suite():
 
 
 def test_report_json_deterministic(capsys):
-    r1 = run_suite("metrization", seed=7)
-    r2 = run_suite("metrization", seed=7)
+    r1 = run_suite("metrization")
+    r2 = run_suite("metrization")
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
     r3 = run_suite("metric", seed=3, trials=20)
     r4 = run_suite("metric", seed=3, trials=20)
@@ -209,6 +223,14 @@ def test_cli_simulate_with_tables(tmp_path, capsys):
               for line in (out_dir / "masses.csv").read_text().strip().splitlines()[1:]]
     assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
     assert masses[-1] <= masses[0] + 0.1 + 1e-9
+
+
+def test_cli_simulate_config_must_be_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[]")
+    assert main(["simulate", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
