@@ -5,6 +5,12 @@ Subcommands: ``dist`` (generalized distance between two measure files),
 ``prokhorov`` (1-d comparator), ``verify`` (verification suites), and
 ``simulate`` (sample-and-hold runs with CSV/JSON outputs).
 
+Each ``cmd_*`` handler returns its stdout text and exit status, and
+:func:`main` prints the text.  A library ``ValueError`` on the user's input
+becomes one ``error:`` line on stderr.  When the reader closes stdout early
+(``gwass verify metric | head -1``), the command still ends quietly with its
+usual exit code.
+
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage or
 input error.  ``GWASS_SEED`` overrides the default seed of random suites.
 """
@@ -15,9 +21,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
 
 from . import lab
 from .dynamics import (build_source_model, cauchy_table,
@@ -41,91 +48,76 @@ class InputError(Exception):
 def _load(path: str) -> DiscreteMeasure:
     try:
         return load_measure(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read measure file {path}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot parse measure file {path}: {exc}") from exc
 
 
-def _params(args) -> GwParams:
+@contextmanager
+def _input_errors(prefix: str = "", errors=ValueError):
+    """Turn an ``errors`` exception raised in the block into an InputError
+    whose message is ``prefix`` followed by the exception's."""
     try:
-        return GwParams(args.a, args.b, args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        yield
+    except errors as exc:
+        raise InputError(f"{prefix}{exc}") from exc
 
 
-def _write_plan_csv(plan, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["i", "j", "flow"])
-        for i, j, flow in plan.as_triples():
-            writer.writerow([i, j, repr(flow)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def cmd_dist(args) -> int:
+def _write_json(path, blob) -> None:
+    Path(path).write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def cmd_dist(args) -> tuple[str, int]:
     mu = _load(args.mu)
     nu = _load(args.nu)
-    try:
-        result = gw_distance(mu, nu, _params(args), quantum=args.quantum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    json.dump(result.to_json(), sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    with _input_errors():
+        result = gw_distance(mu, nu, GwParams(args.a, args.b, args.p), quantum=args.quantum)
     if args.plan_csv:
-        _write_plan_csv(result.plan, args.plan_csv)
-    return EXIT_OK
+        _write_csv(args.plan_csv, ["i", "j", "flow"], result.plan.as_triples())
+    return json.dumps(result.to_json(), sort_keys=True), EXIT_OK
 
 
-def cmd_wasserstein(args) -> int:
+def cmd_wasserstein(args) -> tuple[str, int]:
     mu = _load(args.mu)
     nu = _load(args.nu)
-    try:
+    with _input_errors():
         result = wasserstein(mu, nu, args.p, tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    json.dump({"value": result.value, "p": result.p,
-               "plan": result.plan.as_triples()}, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
     if args.plan_csv:
-        _write_plan_csv(result.plan, args.plan_csv)
-    return EXIT_OK
+        _write_csv(args.plan_csv, ["i", "j", "flow"], result.plan.as_triples())
+    return json.dumps({"value": result.value, "p": result.p, "plan": result.plan.as_triples()},
+                      sort_keys=True), EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[str, int]:
     mu = _load(args.mu)
     nu = _load(args.nu)
-    try:
-        value = gw_brute_force(mu, nu, _params(args), args.grid_steps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    json.dump({"value": value, "grid_steps": args.grid_steps}, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
+    with _input_errors():
+        value = gw_brute_force(mu, nu, GwParams(args.a, args.b, args.p), args.grid_steps)
+    return json.dumps({"value": value, "grid_steps": args.grid_steps}, sort_keys=True), EXIT_OK
 
 
-def cmd_prokhorov(args) -> int:
+def cmd_prokhorov(args) -> tuple[str, int]:
     mu = _load(args.mu)
     nu = _load(args.nu)
-    try:
+    with _input_errors():
         value = levy_prokhorov_1d(mu, nu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    json.dump({"value": value}, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
+    return json.dumps({"value": value}, sort_keys=True), EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    try:
+def cmd_verify(args) -> tuple[str, int]:
+    with _input_errors():
         report = lab.run_suite(args.suite, seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    print(report.format_table())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+        _write_json(args.json, report.to_json())
+    return report.format_table(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _is_int(value) -> bool:
@@ -197,26 +189,20 @@ def _validate_simulate_config(cfg: dict) -> dict:
     return settings
 
 
-def cmd_simulate(args) -> int:
-    try:
+def cmd_simulate(args) -> tuple[str, int]:
+    with _input_errors(f"cannot read config {args.config}: ", (OSError, ValueError)):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
     settings = _validate_simulate_config(cfg)
 
     init = settings["initial_measure"]
     if isinstance(init, str):
         mu0 = _load(init)
     else:
-        try:
+        with _input_errors("invalid initial_measure: "):
             mu0 = measure_from_json(init)
-        except ValueError as exc:
-            raise InputError(f"invalid initial_measure: {exc}") from exc
-    try:
+    with _input_errors("invalid params: "):
         params = GwParams(**settings["params"])
-    except ValueError as exc:
-        raise InputError(f"invalid params: {exc}") from exc
     level, max_level = settings["level"], settings["max_level"]
     k_range, dep = settings["k_range"], settings["dependence"]
     levels = [level]
@@ -228,14 +214,12 @@ def cmd_simulate(args) -> int:
     if top_level > max_level:
         raise InputError(f"level {top_level} exceeds max_level {max_level}; "
                          "raise max_level in the config explicitly")
-    try:
+    with _input_errors("invalid model config: ", (KeyError, ValueError)):
         source = build_source_model(settings["source"])
         mass_cap = settings["mass_cap"]
         if mass_cap is None:
             mass_cap = total_mass(mu0) + source.P
         velocity = build_velocity_model(settings["velocity"], params, mass_cap, dim=mu0.dim)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"invalid model config: {exc}") from exc
     t_final = float(settings["T"])
     ode_step = settings["ode_step"]
     if ode_step is None:
@@ -245,7 +229,7 @@ def cmd_simulate(args) -> int:
     # every computation runs before the first file is written, so a run that
     # fails on its input leaves no partial output behind
     table = rows = None
-    try:
+    with _input_errors("invalid run: "):
         traj = sample_and_hold(mu0, velocity, source, t_final, level,
                                flow_cfg, max_level)
         if k_range is not None:
@@ -257,8 +241,6 @@ def cmd_simulate(args) -> int:
             rows = continuous_dependence_check(
                 mu0, shifted, velocity, source, t_final,
                 dep["level"], params, flow_cfg, max_level)
-    except ValueError as exc:
-        raise InputError(f"invalid run: {exc}") from exc
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,11 +249,8 @@ def cmd_simulate(args) -> int:
         name = f"snapshot_{n:04d}.json"
         save_measure(snap, out / name)
         snapshot_files.append(name)
-    with open(out / "masses.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mass"])
-        for t, snap in traj.snapshots:
-            writer.writerow([repr(float(t)), repr(total_mass(snap))])
+    _write_csv(out / "masses.csv", ["t", "mass"],
+               [[t, total_mass(snap)] for t, snap in traj.snapshots])
 
     summary = {
         "snapshots": snapshot_files,
@@ -281,25 +260,16 @@ def cmd_simulate(args) -> int:
         "atom_counts": [snap.n_atoms for _, snap in traj.snapshots],
     }
     if table is not None:
-        with open(out / "cauchy.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "D_k", "bound"])
-            for row in table.rows:
-                writer.writerow([row.level, repr(row.d_k), repr(row.bound)])
+        _write_csv(out / "cauchy.csv", ["k", "D_k", "bound"],
+                   [[row.level, row.d_k, row.bound] for row in table.rows])
         summary["cauchy_slope"] = table.slope
         summary["cauchy_rows"] = len(table.rows)
     if rows is not None:
-        with open(out / "dependence.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value", "bound"])
-            for row in rows:
-                writer.writerow([repr(row.t), repr(row.distance), repr(row.bound)])
+        _write_csv(out / "dependence.csv", ["t", "value", "bound"],
+                   [[row.t, row.distance, row.bound] for row in rows])
         summary["dependence_rows"] = len(rows)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(f"wrote {len(snapshot_files)} snapshots and summary.json to {out}")
-    return EXIT_OK
+    _write_json(out / "summary.json", summary)
+    return f"wrote {len(snapshot_files)} snapshots and summary.json to {out}", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,35 +278,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mass-aware generalized Wasserstein distances and "
                     "sample-and-hold transport simulations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("mu"); pair.add_argument("nu")
+    gw_params = argparse.ArgumentParser(add_help=False)
+    gw_params.add_argument("--a", type=float, required=True, help="removal unit cost")
+    gw_params.add_argument("--b", type=float, required=True, help="transport cost multiplier")
+    gw_params.add_argument("--p", type=float, default=1.0, help="cost exponent (>= 1)")
+    plan_csv = argparse.ArgumentParser(add_help=False)
+    plan_csv.add_argument("--plan-csv", type=str, default=None,
+                          help="also write the plan as (i, j, flow) CSV")
 
-    p = sub.add_parser("dist", help="generalized distance between two measure files")
-    p.add_argument("mu"); p.add_argument("nu")
-    p.add_argument("--a", type=float, required=True, help="removal unit cost")
-    p.add_argument("--b", type=float, required=True, help="transport cost multiplier")
-    p.add_argument("--p", type=float, default=1.0, help="cost exponent (>= 1)")
+    p = sub.add_parser("dist", parents=[pair, gw_params, plan_csv],
+                       help="generalized distance between two measure files")
     p.add_argument("--quantum", type=float, default=DEFAULT_QUANTUM)
-    p.add_argument("--plan-csv", type=str, default=None,
-                   help="also write the plan as (i, j, flow) CSV")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("wasserstein", help="equal-mass W_p between two measure files")
-    p.add_argument("mu"); p.add_argument("nu")
+    p = sub.add_parser("wasserstein", parents=[pair, plan_csv],
+                       help="equal-mass W_p between two measure files")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--tol", type=float, default=MASS_TOL, help="allowed mass imbalance")
-    p.add_argument("--plan-csv", type=str, default=None,
-                   help="also write the plan as (i, j, flow) CSV")
     p.set_defaults(func=cmd_wasserstein)
 
-    p = sub.add_parser("oracle", help="brute-force grid upper bound on tiny instances")
-    p.add_argument("mu"); p.add_argument("nu")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--p", type=float, default=1.0)
+    p = sub.add_parser("oracle", parents=[pair, gw_params],
+                       help="brute-force grid upper bound on tiny instances")
     p.add_argument("--grid-steps", type=int, default=50)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("prokhorov", help="1-d comparator metric between probability measures")
-    p.add_argument("mu"); p.add_argument("nu")
+    p = sub.add_parser("prokhorov", parents=[pair],
+                       help="1-d comparator metric between probability measures")
     p.set_defaults(func=cmd_prokhorov)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -354,13 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, status = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early: the command is done, so send what
+        # is left of stdout, and the flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

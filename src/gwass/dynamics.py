@@ -318,12 +318,12 @@ def continuous_dependence_check(mu0: DiscreteMeasure, nu0: DiscreteMeasure,
     p = params.p
     m = (max(total_mass(mu0), total_mass(nu0)) + source.P) ** (1.0 / p)
     rate = (p + 1.0) / p * c.L + 2.0 * m * c.N + source.Q + 1.0
-    base = gw_distance(mu0, nu0, params).value
-    rows = []
-    for (t, snap_mu), (_, snap_nu) in zip(traj_mu.snapshots, traj_nu.snapshots):
-        dist = gw_distance(snap_mu, snap_nu, params).value
-        rows.append(DependenceRow(t, dist, math.exp(rate * t) * base))
-    return rows
+    # the t = 0 snapshots are the canonical initial data, so the first
+    # distance is gw(mu_0, nu_0), the base of every bound
+    dists = [gw_distance(snap_mu, snap_nu, params).value
+             for (_, snap_mu), (_, snap_nu) in zip(traj_mu.snapshots, traj_nu.snapshots)]
+    return [DependenceRow(t, dist, math.exp(rate * t) * dists[0])
+            for (t, _), dist in zip(traj_mu.snapshots, dists)]
 
 
 def reference_problem():

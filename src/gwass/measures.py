@@ -96,10 +96,7 @@ def _merge_sites(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     Rows come out in lexicographic order.  The sort is stable, so each
     site's weights are added in input order, starting from 0.0.
     """
-    if keys.shape[1] == 1:
-        order = np.argsort(keys[:, 0], kind="stable")
-    else:
-        order = np.lexsort(keys.T[::-1])
+    order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
     first = np.empty(sorted_keys.shape[0], dtype=bool)
     first[0] = True

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwass
 from gwass import lab
 from gwass.cli import main
 from gwass.lab import CheckResult, SuiteReport, run_suite
@@ -44,7 +49,7 @@ def test_cli_dist_empty_measure(tmp_path, capsys):
 
 
 def test_cli_error_exit_codes(tmp_path, capsys, dirac_files):
-    mu, _ = dirac_files
+    mu, nu = dirac_files
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["dist", str(bad), mu, "--a", "1", "--b", "1"]) == 2
@@ -53,6 +58,33 @@ def test_cli_error_exit_codes(tmp_path, capsys, dirac_files):
     mismatched = write_measure(tmp_path, "d2.json", [([0.0, 0.0], 1.0)], dim=2)
     assert main(["dist", mu, mismatched, "--a", "1", "--b", "1"]) == 2
     capsys.readouterr()
+    # a library ValueError on valid files is one error line, not a traceback
+    heavy = write_measure(tmp_path, "heavy.json", [([1.0], 2.0)])
+    out_dir = tmp_path / "out"
+    for argv in (["dist", mu, nu, "--a", "0", "--b", "1"],
+                 ["oracle", mu, nu, "--a", "1", "--b", "1", "--grid-steps", "0"],
+                 ["prokhorov", heavy, nu],
+                 ["simulate", str(tmp_path / "no_config.json"), "--output-dir", str(out_dir)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_dir.exists()
+
+
+def test_cli_unreadable_input_files_exit_2(tmp_path, capsys, dirac_files):
+    # a path that cannot be read as text (a directory, bytes that are not
+    # UTF-8) is bad input like a missing file, not a traceback
+    mu, _ = dirac_files
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"level": "\xff"}')
+    out_dir = tmp_path / "out"
+    for argv in (["dist", str(tmp_path), mu, "--a", "1", "--b", "1"],
+                 ["simulate", str(not_utf8), "--output-dir", str(out_dir)],
+                 ["simulate", str(tmp_path), "--output-dir", str(out_dir)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_dir.exists()
 
 
 def test_cli_wasserstein_and_mass_mismatch(tmp_path, capsys, dirac_files):
@@ -126,6 +158,33 @@ def test_cli_verify_rejects_options_a_suite_does_not_read(tmp_path, capsys):
     assert main(["verify", "prokhorov", "--json", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["seed"] is None
+
+
+def test_cli_verify_scheme_report_is_deterministic(tmp_path, capsys):
+    paths = [tmp_path / "scheme1.json", tmp_path / "scheme2.json"]
+    for path in paths:
+        assert main(["verify", "scheme", "--json", str(path)]) == 0
+    capsys.readouterr()
+    checks = json.loads(paths[0].read_text())["checks"]
+    assert [c["id"] for c in checks] == [
+        "cauchy_k=3", "cauchy_k=4", "cauchy_k=5", "cauchy_slope", "step_difference",
+        "mass_bound", "source_support", "continuous_dependence"]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cli_closed_stdout_exits_quietly(dirac_files):
+    # a reader that closes the pipe early (``gwass ... | head -1``) must not
+    # turn a finished command into a traceback or a different exit code
+    mu, nu = dirac_files
+    env = {**os.environ, "PYTHONPATH": str(Path(gwass.__file__).parents[1])}
+    for argv in (["verify", "prokhorov"], ["dist", mu, nu, "--a", "1", "--b", "1"]):
+        proc = subprocess.Popen([sys.executable, "-m", "gwass.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
 
 def test_cli_verify_unknown_suite():
@@ -255,7 +314,9 @@ def test_cli_simulate_invalid_config_lists_fields(tmp_path, capsys):
                                     {"dependence": {"shift": 0.1, "level": "abc"}},
                                     {"dependence": {"shift": 1e12}},
                                     {"level": True}, {"level": 1, "max_level": True},
-                                    {"k_range": [False, True]}, {"params": {"a": True}}])
+                                    {"k_range": [False, True]}, {"params": {"a": True}},
+                                    {"velocity": {"base": {"kind": "spiral"}, "kernel": {"kind": "zero"}}},
+                                    {"velocity": {"base": {"kind": "constant"}, "kernel": {"kind": "zero"}}}])
 def test_cli_simulate_out_of_range_config_exits_2(tmp_path, capsys, change):
     mu0 = write_measure(tmp_path, "init.json", [([0.0], 1.0)])
     config = {

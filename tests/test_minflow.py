@@ -4,9 +4,11 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from gwass import _minflow
-from gwass._minflow import (_check_certificate, monotone_coupling,
+from gwass._minflow import (OptimalityCertificateError, _check_certificate, monotone_coupling,
                             parametric_partial_transport, solve_line_partial_w1,
                             solve_transportation)
+from gwass.gw import GwParams, _assemble
+from gwass.measures import DiscreteMeasure
 
 
 def line_lp_oracle(src_pos, src_w, tgt_pos, tgt_w, a, b):
@@ -133,3 +135,63 @@ def test_parametric_segments_trace_feasible_convex_curve(equal_mass, monkeypatch
             _, lp_value = solve_transportation(cost, supply, demand)
             t_end = segments[-1].t_lo + segments[-1].slope * (segments[-1].m_hi - segments[-1].m_lo)
             assert t_end == pytest.approx(lp_value, rel=1e-9)
+
+
+def two_by_two_pair(partial):
+    """A certified 2x2 transportation primal-dual pair ``(c, a_mat, rhs, x, y)``.
+
+    Arcs 00, 01, 10, 11; rows are the two supplies, then the two demands.
+    The identity plan is optimal: balanced with zero duals on costs
+    [0, 1, 1, 0], or partial with duals -1 on costs [-2, 1, 1, -2].
+    """
+    a_mat = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 0, 1, 1],
+                                    [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float))
+    x = np.array([1.0, 0.0, 0.0, 1.0])
+    if partial:
+        return np.array([-2.0, 1.0, 1.0, -2.0]), a_mat, np.ones(4), x, np.full(4, -1.0)
+    return np.array([0.0, 1.0, 1.0, 0.0]), a_mat, np.ones(4), x, np.zeros(4)
+
+
+@pytest.mark.parametrize("partial, x, y, message", [
+    (False, [1.0, 0.5, 0.0, 1.0], None, "equality row violated"),
+    (True, None, [0.5, -1.0, -1.0, -1.0], "dual sign violated on inequality row"),
+    (False, None, [0.0, 0.0, 0.0, 2.0], "negative reduced cost"),
+    (False, None, [-1.0, 0.0, 0.0, 0.0], "positive reduced cost"),
+])
+def test_certificate_rejects_each_corrupted_condition(partial, x, y, message):
+    c, a_mat, rhs, x0, y0 = two_by_two_pair(partial)
+    _check_certificate(c, a_mat, rhs, partial, x0, y0, 4.0)
+    x = x0 if x is None else np.array(x)
+    y = y0 if y is None else np.array(y)
+    with pytest.raises(OptimalityCertificateError, match=message):
+        _check_certificate(c, a_mat, rhs, partial, x, y, 4.0)
+
+
+LINE_PAIR = (np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+             np.array([0.5, 3.0]), np.array([1.0, 1.0]), 1.0, 1.0)
+
+
+def test_line_solver_rejects_an_infeasible_dual_potential(monkeypatch):
+    solve_line_partial_w1(*LINE_PAIR)
+    monkeypatch.setattr(_minflow, "_backtrack", lambda argmax, step: np.full(len(argmax), 2.0))
+    with pytest.raises(OptimalityCertificateError, match="infeasible"):
+        solve_line_partial_w1(*LINE_PAIR)
+
+
+def test_line_solver_rejects_a_dual_value_off_the_dp_maximum(monkeypatch):
+    dp = _minflow._dual_chain_dp
+    monkeypatch.setattr(_minflow, "_dual_chain_dp",
+                        lambda *args: (dp(*args)[0] + 1e-3, dp(*args)[1]))
+    with pytest.raises(OptimalityCertificateError, match="disagrees with the chain DP maximum"):
+        solve_line_partial_w1(*LINE_PAIR)
+
+
+def test_assemble_rejects_a_solver_value_that_does_not_recompose():
+    mu = DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
+    nu = DiscreteMeasure(1, np.array([[0.5], [1.5]]), np.array([1.0, 1.0]))
+    params = GwParams(1.0, 1.0, 1.0)
+    rows, cols, flows = [0, 1], [0, 1], [1.0, 1.0]
+    assert _assemble(mu, nu, params, rows, cols, flows, 1.0).value == pytest.approx(1.0)
+    off = 1e-6 * params.a * 4.0
+    with pytest.raises(RuntimeError, match="witness recomposition"):
+        _assemble(mu, nu, params, rows, cols, flows, 1.0 + off)
