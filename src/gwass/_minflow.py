@@ -8,9 +8,9 @@ Three primitives live here:
   ``scipy.optimize.linprog`` above that, with the SSP as its fallback;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
-  masses by complementary slackness and certifies them; the kept masses
-  are coupled by the monotone (quantile) coupling, which returns its arcs
-  as (rows, cols, flows) arrays;
+  masses by complementary slackness and certifies them; when a witness
+  plan is asked for, the kept masses are coupled by the monotone
+  (quantile) coupling, which returns its arcs as (rows, cols, flows) arrays;
 * a successive-shortest-path (SSP) solver that traces the exact
   piecewise-linear value of partial transport as a function of the
   transported mass, used by the p > 1 solver and, stopped at a given path
@@ -312,9 +312,14 @@ def _backtrack(argmax, step):
     """Optimal dual potential: f_N = argmax V_N, then clip each earlier argmax
     into the window the next potential allows."""
     f = argmax[:]
-    for i in range(len(f) - 1, 0, -1):
-        s = step[i - 1]
-        f[i - 1] = min(max(argmax[i - 1], f[i] - s), f[i] + s)
+    nxt = f[-1]
+    for i in range(len(f) - 2, -1, -1):
+        g, s = argmax[i], step[i]
+        if g < nxt - s:
+            g = nxt - s
+        elif g > nxt + s:
+            g = nxt + s
+        f[i] = nxt = g
     return np.array(f)
 
 
@@ -347,10 +352,19 @@ def _slack_witness(net, w_node, u_node, step, argmax, f, a, tol_f, tol_m):
             "no primal witness satisfies complementary slackness with the line dual")
     lo, hi, net_l, floor = lo.tolist(), hi.tolist(), net.tolist(), flux_lo.tolist()
     flux = [0.0] * len(net_l)
+    g = 0.0
     for i in range(len(net_l) - 1, 0, -1):
-        # where rounding left the interval empty, the outer max still keeps
-        # the flux on its allowed side; the node balance absorbs the rest
-        flux[i - 1] = max(min(max(flux[i] - net_l[i], lo[i - 1]), hi[i - 1]), floor[i - 1])
+        # clip F_i - net_i into [lo, hi], then onto the allowed side: where
+        # rounding left the interval empty, the last test still keeps the
+        # flux on its side, and the node balance absorbs the rest
+        g -= net_l[i]
+        if g < lo[i - 1]:
+            g = lo[i - 1]
+        if g > hi[i - 1]:
+            g = hi[i - 1]
+        if g < floor[i - 1]:
+            g = floor[i - 1]
+        flux[i - 1] = g
     flux = np.array(flux)
     excess = net - np.diff(flux, prepend=0.0)     # removed source minus removed target
     return np.clip(excess, 0.0, can_w), np.clip(-excess, 0.0, can_u)

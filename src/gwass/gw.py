@@ -35,20 +35,26 @@ Every path, including the removal for an empty side, hands its plan arcs
 as (rows, cols, flows) arrays to one witness builder, ``_assemble``.  It
 drops rounding residues by the rule of :data:`_minflow.FLOW_EPS`, takes the
 kept sub-measures from the arcs, recomposes the value once through
-:meth:`GwResult.value_from_parts` and checks it against the solver's optimum.  Tolerances are the constants of
+:meth:`GwResult.value_from_parts` and checks it against the solver's optimum.
+The 1-d p=1 path certifies its value without a coupling, from the removals
+and the gap fluxes of its kept masses, and runs the monotone coupling and
+``_assemble`` only when a witness field is first read; the particle scheme
+reads only the value.  Tolerances are the constants of
 :mod:`gwass._minflow`; each test on a value is relative to a(|mu| + |nu|).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import _minflow
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, canonicalize,
                        measure_to_json, total_mass)
-from ._minflow import RECOMPOSE_TOL, TIE_EPS
+from ._minflow import LINE_TOL, RECOMPOSE_TOL, TIE_EPS
 from .transport import TransportPlan, _carries_flow, cost_matrix
 
 
@@ -76,16 +82,9 @@ class GwParams:
 
 
 @dataclass(frozen=True)
-class GwResult:
-    """Optimal value together with its witness decomposition.
+class _Witness:
+    """Kept sub-measures, the plan that couples them and the removed masses."""
 
-    ``kept_source``/``kept_target`` are the transported sub-measures (on the
-    canonicalized atoms of the inputs), ``plan`` couples them, and the
-    removed masses account for the rest.  The value always recomposes as
-    a*removed_source + a*removed_target + b*W_p(kept, kept).
-    """
-
-    value: float
     kept_source: DiscreteMeasure
     kept_target: DiscreteMeasure
     plan: TransportPlan
@@ -98,6 +97,36 @@ class GwResult:
         return (params.a * self.removed_source_mass
                 + params.a * self.removed_target_mass
                 + params.b * w_term)
+
+
+@dataclass(frozen=True, eq=False)
+class GwResult:
+    """Optimal value together with its witness decomposition.
+
+    ``kept_source``/``kept_target`` are the transported sub-measures (on the
+    canonicalized atoms of the inputs), ``plan`` couples them, and the
+    removed masses account for the rest.  The value always recomposes as
+    a*removed_source + a*removed_target + b*W_p(kept, kept).
+
+    The witness fields come from ``_build`` on first read and are cached;
+    only the 1-d p=1 path defers real work to it.
+    """
+
+    value: float
+    _build: Callable[[], _Witness] = field(repr=False)
+
+    @cached_property
+    def _witness(self) -> _Witness:
+        return self._build()
+
+    kept_source = property(lambda self: self._witness.kept_source)
+    kept_target = property(lambda self: self._witness.kept_target)
+    plan = property(lambda self: self._witness.plan)
+    removed_source_mass = property(lambda self: self._witness.removed_source_mass)
+    removed_target_mass = property(lambda self: self._witness.removed_target_mass)
+
+    def value_from_parts(self, params: GwParams) -> float:
+        return self._witness.value_from_parts(params)
 
     def to_json(self) -> dict:
         return {
@@ -133,14 +162,14 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
     kept_target = DiscreteMeasure(nu.dim, nu.positions[tgt_idx], kept_u[tgt_idx])
     plan = TransportPlan(np.searchsorted(src_idx, rows), np.searchsorted(tgt_idx, cols),
                          flows, kept_source, kept_target)
-    result = GwResult(solver_value, kept_source, kept_target, plan,
-                      total_mass(mu) - total_mass(kept_source),
-                      total_mass(nu) - total_mass(kept_target))
-    value = result.value_from_parts(params)
+    witness = _Witness(kept_source, kept_target, plan,
+                       total_mass(mu) - total_mass(kept_source),
+                       total_mass(nu) - total_mass(kept_target))
+    value = witness.value_from_parts(params)
     if abs(value - solver_value) > RECOMPOSE_TOL * params.a * (total_mass(mu) + total_mass(nu)):
         raise RuntimeError(
             f"witness recomposition {value} disagrees with solver optimum {solver_value}")
-    return replace(result, value=value)
+    return GwResult(value, lambda: witness)
 
 
 def _gw_dense_p1(mu, nu, params):
@@ -154,14 +183,38 @@ def _gw_dense_p1(mu, nu, params):
 
 
 def _gw_line_p1(mu, nu, params):
+    """1-d p=1 solve.  The value is recomposed from the removals and the gap
+    fluxes of the kept masses, a*removed + b*sum_i gap_i |F_i| with F the
+    cumulative kept imbalance, and checked against the DP's dual value; the
+    monotone coupling and ``_assemble`` run when a witness field is first
+    read."""
     x = mu.positions[:, 0]
     y = nu.positions[:, 0]
     kept_w, kept_u, dual_value = _minflow.solve_line_partial_w1(
         x, mu.weights, y, nu.weights, params.a, params.b)
-    rows, cols, flows = _minflow.monotone_coupling(x, kept_w, y, kept_u)
-    # arcs at the exact tie b*d == 2a are repriced as removals
-    inside = params.b * np.abs(x[rows] - y[cols]) < 2.0 * params.a * (1.0 - TIE_EPS)
-    return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside], dual_value)
+    w_mass, u_mass = total_mass(mu), total_mass(nu)
+    kept_w_mass, kept_u_mass = float(np.sum(kept_w)), float(np.sum(kept_u))
+    if abs(kept_w_mass - kept_u_mass) > LINE_TOL * (w_mass + u_mass):
+        raise RuntimeError(
+            f"kept masses of the line solve differ: {kept_w_mass} against {kept_u_mass}")
+    # F over the atoms of both sides in position order; a site that both
+    # sides share adds a gap of length 0, so F there does not count
+    pos = np.concatenate([x, y])
+    order = np.argsort(pos, kind="stable")
+    flux = np.cumsum(np.concatenate([kept_w, -kept_u])[order])
+    value = (params.a * (w_mass - kept_w_mass) + params.a * (u_mass - kept_u_mass)
+             + params.b * float(np.dot(np.diff(pos[order]), np.abs(flux[:-1]))))
+    if abs(value - dual_value) > RECOMPOSE_TOL * params.a * (w_mass + u_mass):
+        raise RuntimeError(
+            f"flux recomposition {value} disagrees with solver optimum {dual_value}")
+
+    def witness():
+        rows, cols, flows = _minflow.monotone_coupling(x, kept_w, y, kept_u)
+        # arcs at the exact tie b*d == 2a are repriced as removals
+        inside = params.b * np.abs(x[rows] - y[cols]) < 2.0 * params.a * (1.0 - TIE_EPS)
+        return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside],
+                         value)._witness
+    return GwResult(value, witness)
 
 
 def _gw_parametric(mu, nu, params):
@@ -193,7 +246,9 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     solve, so the result is invariant under atom permutation and duplicate
     atoms; the witness measures live on the canonical atoms.  The value is
     the one recomposed from the witness, which must agree with the solver's
-    optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or :class:`RuntimeError` is raised.
+    optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or :class:`RuntimeError` is
+    raised.  On the 1-d p=1 path the value is recomposed from the removals
+    and gap fluxes at once, and the witness and its check on first read.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

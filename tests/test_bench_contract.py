@@ -1,0 +1,45 @@
+"""The library names that the benchmark's tracer (perfbench/spans.py) wraps
+and reads must exist, and a traced 1-d p=1 solve must be recognized as one."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gwass import gw
+from gwass.measures import DiscreteMeasure
+
+
+@pytest.fixture(scope="module")
+def spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_exists(spans):
+    for module, func, _, _ in spans.ENTRY_POINTS:
+        assert hasattr(importlib.import_module(f"gwass.{module}"), func), f"{module}.{func}"
+
+
+def test_traced_line_p1_solve_reads_as_line_p1_without_a_witness(spans):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        value = gw.gw_distance(DiscreteMeasure(1, [[0.0], [1.0]], [1.0, 2.0]),
+                               DiscreteMeasure(1, [[0.5], [3.0]], [1.5, 1.0]),
+                               gw.GwParams(1.0, 1.0, 1.0)).value
+    finally:
+        tracer.uninstall()
+    tracer.assert_clean()
+    assert value > 0
+    kids = tracer._children()
+    solves = [k for k, span in enumerate(tracer.spans)
+              if tracer.names[span[0]] == "gw.gw_distance"]
+    assert [tracer.solve_path(k, kids) for k in solves] == ["line_p1"]
+    layer = tracer.metrics(1)
+    assert layer["gw.path.line_p1"] == 1
+    assert layer["minflow.monotone_coupling.calls"] == layer["gw._assemble.calls"] == 0

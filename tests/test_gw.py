@@ -396,3 +396,63 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         gw_distance(DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac([0.0, 1.0]),
                     GwParams(1.0, 1.0, 1.0))
+
+
+def count_couplings(monkeypatch):
+    calls = []
+    coupling = _minflow.monotone_coupling
+
+    def counted(*args):
+        calls.append(1)
+        return coupling(*args)
+
+    monkeypatch.setattr(_minflow, "monotone_coupling", counted)
+    return calls
+
+
+def test_line_p1_witness_is_built_once_on_first_read(monkeypatch):
+    calls = count_couplings(monkeypatch)
+    mu = DiscreteMeasure(1, [[0.0], [1.0], [4.0]], [1.0, 2.0, 0.5])
+    nu = DiscreteMeasure(1, [[0.5], [1.5]], [1.5, 1.0])
+    params = GwParams(1.0, 1.0, 1.0)
+    r = gw_distance(mu, nu, params)
+    assert r.value == pytest.approx(2.25)
+    assert len(calls) == 0
+    assert r.plan.flows.size == 3
+    assert len(calls) == 1
+    assert total_mass(r.kept_source) == pytest.approx(2.5)
+    blob = r.to_json()
+    assert len(calls) == 1
+    assert blob["value"] == r.value == pytest.approx(r.value_from_parts(params), abs=1e-12)
+
+
+def off_removals(source, target):
+    """A _slack_witness whose removals at the first node are off by the given
+    fractions of the total mass."""
+    slack_witness = _minflow._slack_witness
+
+    def corrupted(net, w_node, u_node, *args):
+        removed_w, removed_u = slack_witness(net, w_node, u_node, *args)
+        mass = float(np.sum(w_node) + np.sum(u_node))
+        removed_w[0] += source * mass
+        removed_u[0] += target * mass
+        return removed_w, removed_u
+    return corrupted
+
+
+@pytest.mark.parametrize("source, target, message", [
+    (1e-6, 0.0, "kept masses of the line solve differ"),
+    (1e-6, 1e-6, "flux recomposition"),
+], ids=["source_side", "both_sides"])
+def test_line_p1_rejects_off_removals_before_any_witness_read(source, target, message,
+                                                             monkeypatch):
+    # node 0 holds one unit on each side, kept and transported at zero cost
+    mu = DiscreteMeasure(1, [[0.0], [1.0]], [1.0, 1.0])
+    nu = DiscreteMeasure(1, [[0.0], [1.5]], [1.0, 1.0])
+    params = GwParams(1.0, 1.0, 1.0)
+    assert gw_distance(mu, nu, params).value == pytest.approx(0.5)
+    calls = count_couplings(monkeypatch)
+    monkeypatch.setattr(_minflow, "_slack_witness", off_removals(source, target))
+    with pytest.raises(RuntimeError, match=message):
+        gw_distance(mu, nu, params)
+    assert len(calls) == 0

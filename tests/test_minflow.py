@@ -4,10 +4,10 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from gwass import _minflow
-from gwass._minflow import (OptimalityCertificateError, _check_certificate, monotone_coupling,
-                            parametric_partial_transport, solve_line_partial_w1,
-                            solve_transportation)
-from gwass.gw import GwParams, _assemble
+from gwass._minflow import (RECOMPOSE_TOL, OptimalityCertificateError, _check_certificate,
+                            monotone_coupling, parametric_partial_transport,
+                            solve_line_partial_w1, solve_transportation)
+from gwass.gw import GwParams, _assemble, gw_distance
 from gwass.measures import DiscreteMeasure
 
 
@@ -89,6 +89,18 @@ def test_line_solver_matches_path_graph_lp():
         transport = np.sum(flows * np.abs(x[rows] - y[cols]))
         recomposed = a * (w.sum() - kept_w.sum()) + a * (u.sum() - kept_u.sum()) + b * transport
         assert recomposed == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def test_line_flux_value_agrees_with_the_built_witness():
+    # the 1-d p=1 value is recomposed from the removals and the gap fluxes;
+    # the witness built later from the monotone coupling recomposes to it
+    rng = np.random.default_rng(2016)
+    for _ in range(600):
+        x, w, y, u, a, b = random_line_instance(rng)
+        params = GwParams(a, b, 1.0)
+        r = gw_distance(DiscreteMeasure(1, x[:, None], w), DiscreteMeasure(1, y[:, None], u),
+                        params)
+        assert abs(r.value - r.value_from_parts(params)) <= RECOMPOSE_TOL * a * (w.sum() + u.sum())
 
 
 def random_network(rng, equal_mass):
