@@ -180,10 +180,14 @@ def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
     (:func:`_dual_chain_dp`); the kept masses are rebuilt from the optimal
     dual by complementary slackness (:func:`_slack_witness`).  The dual f
     certifies the result: it is checked feasible and its value must match
-    the DP maximum, or :class:`OptimalityCertificateError` is raised; the
-    caller checks the cost of the primal witness against the same value.
+    the DP maximum.  The kept totals must agree to LINE_TOL times the total
+    mass, and the primal value of the kept masses, the removals plus
+    sum_i min(b*gap_i, 2a)*|F_i| with F the cumulative kept imbalance, must
+    match the DP maximum to RECOMPOSE_TOL * a(|mu| + |nu|); no coupling is
+    needed.
+    A failed check raises :class:`OptimalityCertificateError`.
 
-    Returns ``(kept_src, kept_tgt, value)``.
+    Returns ``(kept_src, kept_tgt, value)``, ``value`` the primal value.
     """
     n = src_w.size
     nodes, node_of = np.unique(np.concatenate([src_pos, tgt_pos]), return_inverse=True)
@@ -211,7 +215,24 @@ def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
     keep_u = np.divide(u_node - removed_u, u_node, out=np.zeros_like(u_node), where=u_node > 0)
     kept_src = np.clip(src_w * keep_w[node_of[:n]], 0.0, src_w)
     kept_tgt = np.clip(tgt_w * keep_u[node_of[n:]], 0.0, tgt_w)
-    return kept_src, kept_tgt, value
+
+    # primal value of the kept masses: removals plus the flux F across each
+    # gap.  F is zero on a gap with b*gap >= 2a, where the dual's step bound
+    # is slack, but for rounding residue of the kept masses; that residue is
+    # priced as removal at both ends, as the witness reprices arcs that long
+    kept_w_node = np.bincount(node_of[:n], weights=kept_src, minlength=nodes.size)
+    kept_u_node = np.bincount(node_of[n:], weights=kept_tgt, minlength=nodes.size)
+    kept_w_mass, kept_u_mass = float(np.sum(kept_w_node)), float(np.sum(kept_u_node))
+    if abs(kept_w_mass - kept_u_mass) > LINE_TOL * mass:
+        raise OptimalityCertificateError(
+            f"kept masses of the line solve differ: {kept_w_mass} against {kept_u_mass}")
+    flux = np.cumsum(kept_w_node - kept_u_node)[:-1]
+    primal = (a * (mass - kept_w_mass - kept_u_mass)
+              + float(np.dot(np.minimum(step, 2.0 * a), np.abs(flux))))
+    if abs(primal - value) > RECOMPOSE_TOL * a * mass:
+        raise OptimalityCertificateError(
+            f"flux recomposition {primal} disagrees with solver optimum {value}")
+    return kept_src, kept_tgt, primal
 
 
 def _dual_chain_dp(net, step, a, tol_c):

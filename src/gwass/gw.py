@@ -54,7 +54,7 @@ import numpy as np
 from . import _minflow
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, canonicalize,
                        measure_to_json, total_mass)
-from ._minflow import LINE_TOL, RECOMPOSE_TOL, TIE_EPS
+from ._minflow import RECOMPOSE_TOL, TIE_EPS
 from .transport import TransportPlan, _carries_flow, cost_matrix
 
 
@@ -169,7 +169,12 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
     if abs(value - solver_value) > RECOMPOSE_TOL * params.a * (total_mass(mu) + total_mass(nu)):
         raise RuntimeError(
             f"witness recomposition {value} disagrees with solver optimum {solver_value}")
-    return GwResult(value, lambda: witness)
+    return witness
+
+
+def _eager(witness, params):
+    """GwResult of a witness built with the solve, valued by its recomposition."""
+    return GwResult(witness.value_from_parts(params), lambda: witness)
 
 
 def _gw_dense_p1(mu, nu, params):
@@ -179,41 +184,24 @@ def _gw_dense_p1(mu, nu, params):
     modified = params.b * dist - 2.0 * params.a
     flows, lp_obj = _minflow.solve_partial_transportation(modified, mu.weights, nu.weights, arc_mask)
     rows, cols = np.nonzero(flows)
-    return _assemble(mu, nu, params, rows, cols, flows[rows, cols], removal + lp_obj)
+    return _eager(_assemble(mu, nu, params, rows, cols, flows[rows, cols], removal + lp_obj),
+                  params)
 
 
 def _gw_line_p1(mu, nu, params):
-    """1-d p=1 solve.  The value is recomposed from the removals and the gap
-    fluxes of the kept masses, a*removed + b*sum_i gap_i |F_i| with F the
-    cumulative kept imbalance, and checked against the DP's dual value; the
-    monotone coupling and ``_assemble`` run when a witness field is first
-    read."""
+    """1-d p=1 solve.  The line solver certifies the value from the removals
+    and the gap fluxes of the kept masses; the monotone coupling and
+    ``_assemble`` run when a witness field is first read."""
     x = mu.positions[:, 0]
     y = nu.positions[:, 0]
-    kept_w, kept_u, dual_value = _minflow.solve_line_partial_w1(
+    kept_w, kept_u, value = _minflow.solve_line_partial_w1(
         x, mu.weights, y, nu.weights, params.a, params.b)
-    w_mass, u_mass = total_mass(mu), total_mass(nu)
-    kept_w_mass, kept_u_mass = float(np.sum(kept_w)), float(np.sum(kept_u))
-    if abs(kept_w_mass - kept_u_mass) > LINE_TOL * (w_mass + u_mass):
-        raise RuntimeError(
-            f"kept masses of the line solve differ: {kept_w_mass} against {kept_u_mass}")
-    # F over the atoms of both sides in position order; a site that both
-    # sides share adds a gap of length 0, so F there does not count
-    pos = np.concatenate([x, y])
-    order = np.argsort(pos, kind="stable")
-    flux = np.cumsum(np.concatenate([kept_w, -kept_u])[order])
-    value = (params.a * (w_mass - kept_w_mass) + params.a * (u_mass - kept_u_mass)
-             + params.b * float(np.dot(np.diff(pos[order]), np.abs(flux[:-1]))))
-    if abs(value - dual_value) > RECOMPOSE_TOL * params.a * (w_mass + u_mass):
-        raise RuntimeError(
-            f"flux recomposition {value} disagrees with solver optimum {dual_value}")
 
     def witness():
         rows, cols, flows = _minflow.monotone_coupling(x, kept_w, y, kept_u)
         # arcs at the exact tie b*d == 2a are repriced as removals
         inside = params.b * np.abs(x[rows] - y[cols]) < 2.0 * params.a * (1.0 - TIE_EPS)
-        return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside],
-                         value)._witness
+        return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside], value)
     return GwResult(value, witness)
 
 
@@ -232,9 +220,10 @@ def _gw_parametric(mu, nu, params):
             best_val = val
             best_seg = seg
     if best_seg is None:
-        return _assemble(mu, nu, params, [], [], [], best_val)
+        return _eager(_assemble(mu, nu, params, [], [], [], best_val), params)
     rows, cols = np.nonzero(best_seg.flows_hi)
-    return _assemble(mu, nu, params, rows, cols, best_seg.flows_hi[rows, cols], best_val)
+    return _eager(_assemble(mu, nu, params, rows, cols, best_seg.flows_hi[rows, cols], best_val),
+                  params)
 
 
 def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
@@ -255,8 +244,8 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     mu_c = canonicalize(mu, quantum)
     nu_c = canonicalize(nu, quantum)
     if mu_c.n_atoms == 0 or nu_c.n_atoms == 0:
-        return _assemble(mu_c, nu_c, params, [], [], [],
-                         params.a * (total_mass(mu_c) + total_mass(nu_c)))
+        return _eager(_assemble(mu_c, nu_c, params, [], [], [],
+                                params.a * (total_mass(mu_c) + total_mass(nu_c))), params)
     if params.p != 1.0:
         return _gw_parametric(mu_c, nu_c, params)
     if mu_c.dim == 1:

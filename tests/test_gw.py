@@ -456,3 +456,21 @@ def test_line_p1_rejects_off_removals_before_any_witness_read(source, target, me
     with pytest.raises(RuntimeError, match=message):
         gw_distance(mu, nu, params)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("x, w, y, u", [
+    ([0.5], [1547224.4], [0.7], [6000365.1]),
+    ([0.5, 0.6], [4618760.7, 3855500.6], [1.0], [1008278.1]),
+    ([0.5, 0.7], [5448717.1, 1454053.7], [0.3, 0.5], [5769669.9, 1386933.1]),
+])
+def test_line_p1_flux_residue_across_a_long_gap_is_priced_as_removal(x, w, y, u):
+    # an atom far beyond 2a/b is removed, so it adds a times its mass; the
+    # kept masses of the near atoms cancel only to rounding, ~1e-9 here,
+    # and that residue across the gap of 1e9 is not transport
+    params = GwParams(1.0, 1.0, 1.0)
+    mu = DiscreteMeasure(1, np.array(x)[:, None], w)
+    near = gw_distance(mu, DiscreteMeasure(1, np.array(y)[:, None], u), params).value
+    r = gw_distance(mu, DiscreteMeasure(1, np.array(y + [1e9])[:, None], u + [1.0]), params)
+    tol = _minflow.RECOMPOSE_TOL * params.a * (sum(w) + sum(u) + 1.0)
+    assert abs(r.value - (near + params.a)) <= tol
+    assert abs(r.value_from_parts(params) - r.value) <= tol

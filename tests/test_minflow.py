@@ -203,7 +203,8 @@ def test_assemble_rejects_a_solver_value_that_does_not_recompose():
     nu = DiscreteMeasure(1, np.array([[0.5], [1.5]]), np.array([1.0, 1.0]))
     params = GwParams(1.0, 1.0, 1.0)
     rows, cols, flows = [0, 1], [0, 1], [1.0, 1.0]
-    assert _assemble(mu, nu, params, rows, cols, flows, 1.0).value == pytest.approx(1.0)
+    assert (_assemble(mu, nu, params, rows, cols, flows, 1.0).value_from_parts(params)
+            == pytest.approx(1.0))
     off = 1e-6 * params.a * 4.0
     with pytest.raises(RuntimeError, match="witness recomposition"):
         _assemble(mu, nu, params, rows, cols, flows, 1.0 + off)
