@@ -5,7 +5,11 @@ Three primitives live here:
 * transportation LPs with equality or inequality marginals, certified by
   one KKT check from either backend: the SSP below, whose node potentials
   are the duals, up to SSP_MAX_ATOMS atoms per side, and HiGHS through
-  ``scipy.optimize.linprog`` above that, with the SSP as its fallback;
+  ``scipy.optimize.linprog`` above that, with the SSP as its fallback.
+  The check reads the node-arc incidence as index arrays
+  (:class:`_Incidence`), so scipy is imported only inside :func:`_highs`,
+  on the first LP that runs HiGHS; the line solver, the SSP and everything
+  that uses only them run on numpy alone;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
   masses by complementary slackness and certifies them; when a witness
@@ -20,11 +24,9 @@ Three primitives live here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 # Tolerance policy: every tolerance of gw_distance, wasserstein and their
 # solvers is one of these constants times a scale of the instance, with no
@@ -61,15 +63,43 @@ class OptimalityCertificateError(RuntimeError):
     """The LP solution returned by the backend failed KKT re-verification."""
 
 
+@dataclass(frozen=True)
+class _Incidence:
+    """Node-arc incidence matrix of an n x m transportation LP, as indices.
+
+    Column k has a one in supply row ``src[k]`` and one in demand row
+    ``n + tgt[k]``.  Like a sparse matrix, it supports ``A @ x`` and
+    ``A.T @ y`` in O(arcs), so :func:`_check_certificate` reads either.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    n: int
+    m: int
+    transposed: bool = False
+
+    @property
+    def T(self):
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, v):
+        if self.transposed:
+            return v[self.src] + v[self.n + self.tgt]
+        return np.concatenate([np.bincount(self.src, weights=v, minlength=self.n),
+                               np.bincount(self.tgt, weights=v, minlength=self.m)])
+
+
 def _check_certificate(c, a_mat, rhs, partial, x, y, mass, bounds_upper=None):
     """Re-verify LP optimality from primal/dual pair (x, y).
 
-    Every row of ``a_mat`` is an inequality A x <= b if ``partial``, else an
-    equality.  Conditions checked: primal feasibility, dual sign for
-    inequality rows (y <= 0 for a minimization with A x <= b), complementary
-    slackness on rows, and reduced-cost conditions against the variable
-    bounds.  Primal values are tested to CERT_TOL * ``mass`` (the total
-    mass), duals to CERT_TOL times the largest |c| (1 if all are 0).
+    ``a_mat`` is a scipy sparse matrix or an :class:`_Incidence`; only
+    ``a_mat @ x`` and ``a_mat.T @ y`` are read.  Every row of ``a_mat`` is
+    an inequality A x <= b if ``partial``, else an equality.  Conditions
+    checked: primal feasibility, dual sign for inequality rows (y <= 0 for
+    a minimization with A x <= b), complementary slackness on rows, and
+    reduced-cost conditions against the variable bounds.  Primal values
+    are tested to CERT_TOL * ``mass`` (the total mass), duals to CERT_TOL
+    times the largest |c| (1 if all are 0).
     Raises OptimalityCertificateError.
     """
     tol_m = CERT_TOL * mass
@@ -95,9 +125,18 @@ def _check_certificate(c, a_mat, rhs, partial, x, y, mass, bounds_upper=None):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
-def _highs(c, a_mat, rhs, partial, mass):
+def _highs(c, incidence, rhs, partial, mass):
     """HiGHS backend of :func:`_solve_lp`, on costs scaled to a largest |cost|
     of 1: ``(x, value)``, or None if HiGHS fails or its duals fail the check."""
+    # imported here: scipy.sparse and scipy.optimize take most of the
+    # package's import time, and no solve at or below SSP_MAX_ATOMS uses them
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    k = np.arange(c.size)         # column k is arc k
+    node = np.concatenate([incidence.src, incidence.n + incidence.tgt])
+    a_mat = sp.csr_matrix((np.ones(2 * k.size), (node, np.concatenate([k, k]))),
+                          shape=(incidence.n + incidence.m, k.size))
     c_scale = float(np.max(np.abs(c))) or 1.0
     rows = {"A_ub": a_mat, "b_ub": rhs} if partial else {"A_eq": a_mat, "b_eq": rhs}
     res = linprog(c / c_scale, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS, **rows)
@@ -105,7 +144,7 @@ def _highs(c, a_mat, rhs, partial, mass):
         return None
     duals = (res.ineqlin if partial else res.eqlin).marginals
     try:
-        _check_certificate(c / c_scale, a_mat, rhs, partial, res.x, duals, mass)
+        _check_certificate(c / c_scale, incidence, rhs, partial, res.x, duals, mass)
     except OptimalityCertificateError:
         return None
     return res.x, float(res.fun) * c_scale
@@ -121,13 +160,11 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
     flows = np.zeros((n, m))
     if arcs.size == 0:
         return flows, 0.0
-    k = np.arange(arcs.size)      # incidence matrix: column k is arc arcs[k]
-    a_mat = sp.csr_matrix((np.ones(2 * k.size), (np.concatenate([arcs // m, n + arcs % m]),
-                                                 np.concatenate([k, k]))), shape=(n + m, k.size))
+    incidence = _Incidence(arcs // m, arcs % m, n, m)
     rhs = np.concatenate([supply, demand])
     c = cost.ravel()[arcs]
     mass = float(np.sum(supply) + (np.sum(demand) if partial else 0.0))
-    solved = _highs(c, a_mat, rhs, partial, mass) if max(n, m) > SSP_MAX_ATOMS else None
+    solved = _highs(c, incidence, rhs, partial, mass) if max(n, m) > SSP_MAX_ATOMS else None
     if solved is None:
         # Dijkstra needs costs >= 0; a source-to-sink path has one forward
         # arc more than backward arcs, so its cost shifts by exactly ``shift``
@@ -138,7 +175,7 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
             duals = np.minimum(0.0, np.concatenate([-pot[:n], pot[n:n + m] - pot[-1]]))
         else:
             duals = np.concatenate([-pot[:n], pot[n:n + m] + shift])
-        _check_certificate(c, a_mat, rhs, partial, x, duals, mass)
+        _check_certificate(c, incidence, rhs, partial, x, duals, mass)
         solved = x, float(np.dot(c, x))
     flows.ravel()[arcs] = solved[0]
     return flows, solved[1]

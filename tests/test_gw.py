@@ -216,6 +216,30 @@ def test_line_p1_at_scale_extremes_is_bounded_or_loud(case):
         backward = gw_distance(nu, mu, params).value
     except RuntimeError:
         return      # a failed certificate or recomposition check is loud, not silent
+    assert_bounded_and_symmetric(mu, nu, params, forward, backward)
+
+
+def test_scale_extremes_from_seeded_draws_solve_bounded_and_symmetric():
+    # scale_extreme_case's distribution drawn by numpy: draws are not shrunk
+    # toward edge cases, and none may raise, so a false certificate raise on
+    # a correct solve fails here
+    rng = np.random.default_rng(20261019)
+    for _ in range(800):
+        dim = int(rng.choice([1, 2]))
+        p = float(rng.choice([1.0, 2.0]))
+
+        def measure():
+            n = int(rng.integers(1, 9))
+            return DiscreteMeasure(dim, rng.uniform(-1e9, 1e9, (n, dim)),
+                                   10.0 ** rng.uniform(-9, 9, n))
+        mu, nu = measure(), measure()
+        a = 10.0 ** rng.uniform(-3, 3)
+        params = GwParams(a, a * 10.0 ** rng.uniform(-6, 6), p)
+        assert_bounded_and_symmetric(mu, nu, params, gw_distance(mu, nu, params).value,
+                                     gw_distance(nu, mu, params).value)
+
+
+def assert_bounded_and_symmetric(mu, nu, params, forward, backward):
     a, wm, wn = params.a, total_mass(mu), total_mass(nu)
     slack = 1e-9 * a * (wm + wn)
     assert a * abs(wm - wn) - slack <= forward <= a * (wm + wn) + slack

@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 
 from gwass import _minflow
 from gwass._minflow import (RECOMPOSE_TOL, OptimalityCertificateError, _check_certificate,
-                            monotone_coupling, parametric_partial_transport,
+                            _Incidence, monotone_coupling, parametric_partial_transport,
                             solve_line_partial_w1, solve_transportation)
 from gwass.gw import GwParams, _assemble, gw_distance
 from gwass.measures import DiscreteMeasure
@@ -149,29 +149,46 @@ def test_parametric_segments_trace_feasible_convex_curve(equal_mass, monkeypatch
             assert t_end == pytest.approx(lp_value, rel=1e-9)
 
 
-def two_by_two_pair(partial):
+def two_by_two_pair(partial, incidence):
     """A certified 2x2 transportation primal-dual pair ``(c, a_mat, rhs, x, y)``.
 
     Arcs 00, 01, 10, 11; rows are the two supplies, then the two demands.
-    The identity plan is optimal: balanced with zero duals on costs
-    [0, 1, 1, 0], or partial with duals -1 on costs [-2, 1, 1, -2].
+    ``a_mat`` is the csr matrix or the same incidence as an
+    :class:`_Incidence`.  The identity plan is optimal: balanced with zero
+    duals on costs [0, 1, 1, 0], or partial with duals -1 on costs
+    [-2, 1, 1, -2].
     """
-    a_mat = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 0, 1, 1],
-                                    [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float))
+    if incidence == "csr":
+        a_mat = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 0, 1, 1],
+                                        [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float))
+    else:
+        a_mat = _Incidence(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), 2, 2)
     x = np.array([1.0, 0.0, 0.0, 1.0])
     if partial:
         return np.array([-2.0, 1.0, 1.0, -2.0]), a_mat, np.ones(4), x, np.full(4, -1.0)
     return np.array([0.0, 1.0, 1.0, 0.0]), a_mat, np.ones(4), x, np.zeros(4)
 
 
+def test_index_incidence_is_the_csr_incidence():
+    csr = two_by_two_pair(False, "csr")[1]
+    index = two_by_two_pair(False, "index")[1]
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(4), rng.standard_normal(4)
+    assert np.array_equal(index @ x, csr @ x)
+    assert np.array_equal(index.T @ y, csr.T @ y)
+
+
+@pytest.mark.parametrize("incidence", ["csr", "index"])
 @pytest.mark.parametrize("partial, x, y, message", [
     (False, [1.0, 0.5, 0.0, 1.0], None, "equality row violated"),
     (True, None, [0.5, -1.0, -1.0, -1.0], "dual sign violated on inequality row"),
     (False, None, [0.0, 0.0, 0.0, 2.0], "negative reduced cost"),
     (False, None, [-1.0, 0.0, 0.0, 0.0], "positive reduced cost"),
+    (True, [1.0, 0.5, 0.0, 1.0], None, "inequality row violated"),
+    (True, [0.5, 0.0, 0.0, 1.0], None, "complementary slackness violated"),
 ])
-def test_certificate_rejects_each_corrupted_condition(partial, x, y, message):
-    c, a_mat, rhs, x0, y0 = two_by_two_pair(partial)
+def test_certificate_rejects_each_corrupted_condition(partial, x, y, message, incidence):
+    c, a_mat, rhs, x0, y0 = two_by_two_pair(partial, incidence)
     _check_certificate(c, a_mat, rhs, partial, x0, y0, 4.0)
     x = x0 if x is None else np.array(x)
     y = y0 if y is None else np.array(y)
