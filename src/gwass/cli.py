@@ -31,7 +31,6 @@ from .dynamics import (build_source_model, cauchy_table,
                        continuous_dependence_check, sample_and_hold)
 from .flows import FlowConfig, build_velocity_model
 from .gw import GwParams, gw_brute_force, gw_distance, levy_prokhorov_1d
-from ._minflow import MASS_TOL
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, load_measure,
                        measure_from_json, save_measure, total_mass)
 from .transport import wasserstein
@@ -89,7 +88,7 @@ def cmd_wasserstein(args) -> tuple[str, int]:
     mu = _load(args.mu)
     nu = _load(args.nu)
     with _input_errors():
-        result = wasserstein(mu, nu, args.p, tol=args.tol)
+        result = wasserstein(mu, nu, args.p)
     if args.plan_csv:
         _write_csv(args.plan_csv, ["i", "j", "flow"], result.plan.as_triples())
     return json.dumps({"value": result.value, "p": result.p, "plan": result.plan.as_triples()},
@@ -296,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wasserstein", parents=[pair, plan_csv],
                        help="equal-mass W_p between two measure files")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--tol", type=float, default=MASS_TOL, help="allowed mass imbalance")
     p.set_defaults(func=cmd_wasserstein)
 
     p = sub.add_parser("oracle", parents=[pair, gw_params],

@@ -31,16 +31,16 @@ Three exact solver paths, plus removal of everything when a side is empty:
 Ties between transporting and removing are broken toward removal, so the
 witness decomposition is deterministic; the value is unaffected.
 
-Every path, including the removal for an empty side, hands its plan arcs
-as (rows, cols, flows) arrays to one witness builder, ``_assemble``.  It
-drops rounding residues by the rule of :data:`_minflow.FLOW_EPS`, takes the
-kept sub-measures from the arcs, recomposes the value once through
-:meth:`GwResult.value_from_parts` and checks it against the solver's optimum.
-The 1-d p=1 path certifies its value without a coupling, from the removals
-and the gap fluxes of its kept masses, and runs the monotone coupling and
-``_assemble`` only when a witness field is first read; the particle scheme
-reads only the value.  Tolerances are the constants of
-:mod:`gwass._minflow`; each test on a value is relative to a(|mu| + |nu|).
+Every path hands its value and plan arcs, as (rows, cols, flows) arrays,
+to one witness route, ``_assemble``: it drops rounding residues by the rule
+of :data:`_minflow.FLOW_EPS`, recomposes the value from the kept arcs and
+checks it against the solver's optimum when the solve returns, and builds
+the kept sub-measures and the plan only when a witness field is first read;
+the particle scheme reads only the value.  The 1-d p=1 path certifies its
+value from the removals and gap fluxes of its kept masses, and builds its
+arcs, the monotone coupling, on that first read.  Tolerances are the
+constants of :mod:`gwass._minflow`; each test on a value is relative to
+a(|mu| + |nu|).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from . import _minflow
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, canonicalize,
                        measure_to_json, total_mass)
 from ._minflow import RECOMPOSE_TOL, TIE_EPS
-from .transport import TransportPlan, _carries_flow, cost_matrix
+from .transport import TransportPlan, _arc_cost, _carries_flow, cost_matrix
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,11 @@ class _Witness:
     removed_source_mass: float
     removed_target_mass: float
 
-    def value_from_parts(self, params: GwParams) -> float:
-        transport = self.plan.cost(params.p)
-        w_term = transport ** (1.0 / params.p) if transport > 0 else 0.0
-        return (params.a * self.removed_source_mass
-                + params.a * self.removed_target_mass
-                + params.b * w_term)
+
+def _recompose(params, removed_w, removed_u, transport_cost):
+    """a*removed_w + a*removed_u + b*W_p, with W_p^p the transport cost."""
+    w_term = transport_cost ** (1.0 / params.p) if transport_cost > 0 else 0.0
+    return params.a * removed_w + params.a * removed_u + params.b * w_term
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +107,8 @@ class GwResult:
     removed masses account for the rest.  The value always recomposes as
     a*removed_source + a*removed_target + b*W_p(kept, kept).
 
-    The witness fields come from ``_build`` on first read and are cached;
-    only the 1-d p=1 path defers real work to it.
+    The value is checked when the solve returns.  The witness fields come
+    from ``_build`` on first read and are cached.
     """
 
     value: float
@@ -126,7 +125,8 @@ class GwResult:
     removed_target_mass = property(lambda self: self._witness.removed_target_mass)
 
     def value_from_parts(self, params: GwParams) -> float:
-        return self._witness.value_from_parts(params)
+        return _recompose(params, self.removed_source_mass, self.removed_target_mass,
+                          self.plan.cost(params.p))
 
     def to_json(self) -> dict:
         return {
@@ -140,14 +140,15 @@ class GwResult:
 
 
 def _assemble(mu, nu, params, rows, cols, flows, solver_value):
-    """Build the GwResult of a solve from its plan arcs on the canonical atoms.
+    """GwResult of a solve from its plan arcs on the canonical atoms.
 
     Every solver path ends here.  Arc k moves ``flows[k]`` from atom
     ``rows[k]`` of ``mu`` to atom ``cols[k]`` of ``nu``; arcs that fail the
-    residue rule of :data:`_minflow.FLOW_EPS` are dropped.  The kept
-    sub-measures are the plan's marginals, the atoms they leave out count
-    as removed, and the value recomposed from these parts must agree with
-    the solver's own optimum to RECOMPOSE_TOL * a(|mu| + |nu|).
+    residue rule of :data:`_minflow.FLOW_EPS` are dropped.  The kept masses
+    are the arcs' marginals and the rest counts as removed.  The value is
+    recomposed from these arrays at once and must agree with the solver's
+    own optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or RuntimeError is
+    raised; the kept sub-measures and the plan are built on first read.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -158,23 +159,21 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
     kept_u = np.bincount(cols, flows, minlength=nu.n_atoms)
     src_idx = np.flatnonzero(kept_w)
     tgt_idx = np.flatnonzero(kept_u)
-    kept_source = DiscreteMeasure(mu.dim, mu.positions[src_idx], kept_w[src_idx])
-    kept_target = DiscreteMeasure(nu.dim, nu.positions[tgt_idx], kept_u[tgt_idx])
-    plan = TransportPlan(np.searchsorted(src_idx, rows), np.searchsorted(tgt_idx, cols),
-                         flows, kept_source, kept_target)
-    witness = _Witness(kept_source, kept_target, plan,
-                       total_mass(mu) - total_mass(kept_source),
-                       total_mass(nu) - total_mass(kept_target))
-    value = witness.value_from_parts(params)
+    removed_w = total_mass(mu) - float(np.sum(kept_w[src_idx]))
+    removed_u = total_mass(nu) - float(np.sum(kept_u[tgt_idx]))
+    value = _recompose(params, removed_w, removed_u,
+                       _arc_cost(mu.positions[rows], nu.positions[cols], flows, params.p))
     if abs(value - solver_value) > RECOMPOSE_TOL * params.a * (total_mass(mu) + total_mass(nu)):
         raise RuntimeError(
             f"witness recomposition {value} disagrees with solver optimum {solver_value}")
-    return witness
 
-
-def _eager(witness, params):
-    """GwResult of a witness built with the solve, valued by its recomposition."""
-    return GwResult(witness.value_from_parts(params), lambda: witness)
+    def witness():
+        kept_source = DiscreteMeasure(mu.dim, mu.positions[src_idx], kept_w[src_idx])
+        kept_target = DiscreteMeasure(nu.dim, nu.positions[tgt_idx], kept_u[tgt_idx])
+        plan = TransportPlan(np.searchsorted(src_idx, rows), np.searchsorted(tgt_idx, cols),
+                             flows, kept_source, kept_target)
+        return _Witness(kept_source, kept_target, plan, removed_w, removed_u)
+    return GwResult(value, witness)
 
 
 def _gw_dense_p1(mu, nu, params):
@@ -184,14 +183,13 @@ def _gw_dense_p1(mu, nu, params):
     modified = params.b * dist - 2.0 * params.a
     flows, lp_obj = _minflow.solve_partial_transportation(modified, mu.weights, nu.weights, arc_mask)
     rows, cols = np.nonzero(flows)
-    return _eager(_assemble(mu, nu, params, rows, cols, flows[rows, cols], removal + lp_obj),
-                  params)
+    return _assemble(mu, nu, params, rows, cols, flows[rows, cols], removal + lp_obj)
 
 
 def _gw_line_p1(mu, nu, params):
     """1-d p=1 solve.  The line solver certifies the value from the removals
     and the gap fluxes of the kept masses; the monotone coupling and
-    ``_assemble`` run when a witness field is first read."""
+    ``_assemble``'s check of it run when a witness field is first read."""
     x = mu.positions[:, 0]
     y = nu.positions[:, 0]
     kept_w, kept_u, value = _minflow.solve_line_partial_w1(
@@ -201,7 +199,7 @@ def _gw_line_p1(mu, nu, params):
         rows, cols, flows = _minflow.monotone_coupling(x, kept_w, y, kept_u)
         # arcs at the exact tie b*d == 2a are repriced as removals
         inside = params.b * np.abs(x[rows] - y[cols]) < 2.0 * params.a * (1.0 - TIE_EPS)
-        return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside], value)
+        return _assemble(mu, nu, params, rows[inside], cols[inside], flows[inside], value)._build()
     return GwResult(value, witness)
 
 
@@ -220,10 +218,9 @@ def _gw_parametric(mu, nu, params):
             best_val = val
             best_seg = seg
     if best_seg is None:
-        return _eager(_assemble(mu, nu, params, [], [], [], best_val), params)
+        return _assemble(mu, nu, params, [], [], [], best_val)
     rows, cols = np.nonzero(best_seg.flows_hi)
-    return _eager(_assemble(mu, nu, params, rows, cols, best_seg.flows_hi[rows, cols], best_val),
-                  params)
+    return _assemble(mu, nu, params, rows, cols, best_seg.flows_hi[rows, cols], best_val)
 
 
 def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
@@ -234,18 +231,18 @@ def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,
     Atoms are canonicalized (merged on the ``quantum`` lattice) before the
     solve, so the result is invariant under atom permutation and duplicate
     atoms; the witness measures live on the canonical atoms.  The value is
-    the one recomposed from the witness, which must agree with the solver's
-    optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or :class:`RuntimeError` is
-    raised.  On the 1-d p=1 path the value is recomposed from the removals
-    and gap fluxes at once, and the witness and its check on first read.
+    checked before it is returned: recomposed from the witness arcs (on the
+    1-d p=1 path, from the removals and gap fluxes), it must agree with the
+    solver's optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or
+    :class:`RuntimeError` is raised.  The witness is built on first read.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     mu_c = canonicalize(mu, quantum)
     nu_c = canonicalize(nu, quantum)
     if mu_c.n_atoms == 0 or nu_c.n_atoms == 0:
-        return _eager(_assemble(mu_c, nu_c, params, [], [], [],
-                                params.a * (total_mass(mu_c) + total_mass(nu_c))), params)
+        return _assemble(mu_c, nu_c, params, [], [], [],
+                         params.a * (total_mass(mu_c) + total_mass(nu_c)))
     if params.p != 1.0:
         return _gw_parametric(mu_c, nu_c, params)
     if mu_c.dim == 1:

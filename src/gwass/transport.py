@@ -31,6 +31,11 @@ def _carries_flow(flows: np.ndarray, src_w: np.ndarray, tgt_w: np.ndarray) -> np
     return flows > _minflow.FLOW_EPS * np.minimum(src_w, tgt_w)
 
 
+def _arc_cost(src_pos: np.ndarray, tgt_pos: np.ndarray, flows: np.ndarray, p: float) -> float:
+    """sum of flows[k] * |src_pos[k] - tgt_pos[k]|^p."""
+    return float(np.sum(flows * np.linalg.norm(src_pos - tgt_pos, axis=1) ** p))
+
+
 class MassMismatchError(ValueError):
     """Raised when W_p is requested between measures of different mass."""
 
@@ -77,16 +82,16 @@ class TransportPlan:
         if np.max(np.abs(col - self.target_ref.weights), initial=0.0) > rel_tol * scale:
             raise ValueError("plan column sums do not match target weights")
 
-    def _arc_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.source_ref.positions[self.rows]
-                              - self.target_ref.positions[self.cols], axis=1)
+    def _arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.source_ref.positions[self.rows], self.target_ref.positions[self.cols]
 
     def cost(self, p: float) -> float:
         """sum of flow * |x_i - y_j|^p over the plan arcs."""
-        return float(np.sum(self.flows * self._arc_lengths() ** p))
+        return _arc_cost(*self._arc_ends(), self.flows, p)
 
     def max_arc_length(self) -> float:
-        return float(np.max(self._arc_lengths(), initial=0.0))
+        src_pos, tgt_pos = self._arc_ends()
+        return float(np.max(np.linalg.norm(src_pos - tgt_pos, axis=1), initial=0.0))
 
     def as_triples(self) -> list[list]:
         """Arcs as ``[source index, target index, flow]`` lists of Python
@@ -111,16 +116,16 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarra
     return d ** p
 
 
-def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-                tol: float = _minflow.MASS_TOL) -> WpResult:
+def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WpResult:
     """Exact Wasserstein distance of order p between equal-mass measures.
 
     Parameters
     ----------
     mu, nu : DiscreteMeasure
         Measures of equal (positive) total mass; a mass imbalance beyond
-        ``tol`` times the larger mass raises :class:`MassMismatchError`,
-        since W_p is undefined between measures of different mass.
+        :data:`_minflow.MASS_TOL` times the larger mass raises
+        :class:`MassMismatchError`, since W_p is undefined between measures
+        of different mass.
     p : float
         Cost exponent, p >= 1.
 
@@ -136,7 +141,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     w_mass, u_mass = total_mass(mu), total_mass(nu)
-    if abs(w_mass - u_mass) > tol * max(w_mass, u_mass):
+    if abs(w_mass - u_mass) > _minflow.MASS_TOL * max(w_mass, u_mass):
         raise MassMismatchError(
             f"masses differ ({w_mass} vs {u_mass}); W_p needs equal masses")
     if w_mass <= 0 or u_mass <= 0:

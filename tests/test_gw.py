@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwass import _minflow
+from gwass import _minflow, gw
 from gwass.gw import (GwParams, _gw_dense_p1, _gw_parametric,
                       gw_brute_force, gw_distance)
 from gwass.lab import box_closed_form
@@ -222,7 +223,7 @@ def test_line_p1_at_scale_extremes_is_bounded_or_loud(case):
 def test_scale_extremes_from_seeded_draws_solve_bounded_and_symmetric():
     # scale_extreme_case's distribution drawn by numpy: draws are not shrunk
     # toward edge cases, and none may raise, so a false certificate raise on
-    # a correct solve fails here
+    # a correct solve or a witness read fails here
     rng = np.random.default_rng(20261019)
     for _ in range(800):
         dim = int(rng.choice([1, 2]))
@@ -235,8 +236,12 @@ def test_scale_extremes_from_seeded_draws_solve_bounded_and_symmetric():
         mu, nu = measure(), measure()
         a = 10.0 ** rng.uniform(-3, 3)
         params = GwParams(a, a * 10.0 ** rng.uniform(-6, 6), p)
-        assert_bounded_and_symmetric(mu, nu, params, gw_distance(mu, nu, params).value,
-                                     gw_distance(nu, mu, params).value)
+        forward, backward = gw_distance(mu, nu, params), gw_distance(nu, mu, params)
+        assert_bounded_and_symmetric(mu, nu, params, forward.value, backward.value)
+        # reading the witness runs _assemble on every path, the line path included
+        tol = _minflow.RECOMPOSE_TOL * params.a * (total_mass(mu) + total_mass(nu))
+        for r in (forward, backward):
+            assert abs(r.value - r.value_from_parts(params)) <= tol
 
 
 def assert_bounded_and_symmetric(mu, nu, params, forward, backward):
@@ -422,32 +427,86 @@ def test_dimension_mismatch_rejected():
                     GwParams(1.0, 1.0, 1.0))
 
 
-def count_couplings(monkeypatch):
+def count_calls(monkeypatch, module, name):
     calls = []
-    coupling = _minflow.monotone_coupling
+    original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return coupling(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(_minflow, "monotone_coupling", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_line_p1_witness_is_built_once_on_first_read(monkeypatch):
-    calls = count_couplings(monkeypatch)
-    mu = DiscreteMeasure(1, [[0.0], [1.0], [4.0]], [1.0, 2.0, 0.5])
-    nu = DiscreteMeasure(1, [[0.5], [1.5]], [1.5, 1.0])
-    params = GwParams(1.0, 1.0, 1.0)
+def unit_cube_pair(dim, n, seed):
+    """n atoms per side in the unit cube, every arc inside 2a/b at a = b = 1."""
+    rng = np.random.default_rng(seed)
+    return tuple(DiscreteMeasure(dim, rng.uniform(0, 1, (n, dim)), rng.uniform(0.5, 1.5, n))
+                 for _ in range(2))
+
+
+WITNESS_CASES = {   # mu, nu, p, HiGHS solves, monotone couplings on first read,
+                    # and the known (value, kept mass, plan arcs) where pinned
+    "line_p1": (DiscreteMeasure(1, [[0.0], [1.0], [4.0]], [1.0, 2.0, 0.5]),
+                DiscreteMeasure(1, [[0.5], [1.5]], [1.5, 1.0]), 1.0, 0, 1, (2.25, 2.5, 3)),
+    "dense_p1_ssp": (*unit_cube_pair(2, 12, 1), 1.0, 0, 0, None),
+    "dense_p1_highs": (*unit_cube_pair(2, 13, 2), 1.0, 1, 0, None),
+    "parametric_p2": (*unit_cube_pair(2, 6, 3), 2.0, 0, 0, None),
+    "empty_side": (DiscreteMeasure.zero(2), unit_cube_pair(2, 3, 4)[0], 1.0, 0, 0, None),
+}
+
+
+@pytest.mark.parametrize("mu, nu, p, highs_solves, couplings, known", WITNESS_CASES.values(),
+                         ids=WITNESS_CASES.keys())
+def test_witness_is_built_once_on_first_read(mu, nu, p, highs_solves, couplings, known,
+                                             monkeypatch):
+    # every path checks its value at solve time and builds no kept measure,
+    # plan or 1-d coupling until a witness field is read
+    params = GwParams(1.0, 1.0, p)
+    highs = count_calls(monkeypatch, _minflow, "_highs")
+    built = [count_calls(monkeypatch, *target) for target in (
+        (gw, "DiscreteMeasure"), (gw, "TransportPlan"), (_minflow, "monotone_coupling"))]
     r = gw_distance(mu, nu, params)
-    assert r.value == pytest.approx(2.25)
-    assert len(calls) == 0
-    assert r.plan.flows.size == 3
-    assert len(calls) == 1
-    assert total_mass(r.kept_source) == pytest.approx(2.5)
+    assert len(highs) == highs_solves
+    assert [len(calls) for calls in built] == [0, 0, 0]
+    plan = r.plan
+    assert [len(calls) for calls in built] == [2, 1, couplings]
+    if known is not None:
+        value, kept_mass, arcs = known
+        assert r.value == pytest.approx(value)
+        assert total_mass(r.kept_source) == pytest.approx(kept_mass)
+        assert plan.flows.size == arcs
     blob = r.to_json()
-    assert len(calls) == 1
+    assert r.plan is plan and [len(calls) for calls in built] == [2, 1, couplings]
     assert blob["value"] == r.value == pytest.approx(r.value_from_parts(params), abs=1e-12)
+
+
+def off_optimum(function, off):
+    """``function`` with the optimum it reports moved by ``off`` times
+    a(|mu| + |nu|) at a = 1: the dense LP's objective, or every T(m) of the
+    parametric trace."""
+    def shifted(cost, supply, demand, *args):
+        result = function(cost, supply, demand, *args)
+        shift = off * (np.sum(supply) + np.sum(demand))
+        if isinstance(result, list):
+            return [dataclasses.replace(seg, t_lo=seg.t_lo + shift) for seg in result]
+        return result[0], result[1] + shift
+    return shifted
+
+
+@pytest.mark.parametrize("name, pair, p", [
+    ("solve_partial_transportation", unit_cube_pair(2, 5, 5), 1.0),
+    ("solve_partial_transportation", unit_cube_pair(2, 13, 6), 1.0),
+    ("parametric_partial_transport", unit_cube_pair(2, 5, 7), 2.0),
+], ids=["dense_p1_ssp", "dense_p1_highs", "parametric_p2"])
+def test_a_wrong_solver_optimum_raises_at_solve_time(name, pair, p, monkeypatch):
+    params = GwParams(1.0, 1.0, p)
+    gw_distance(*pair, params)
+    off = 1e3 * _minflow.RECOMPOSE_TOL
+    monkeypatch.setattr(_minflow, name, off_optimum(getattr(_minflow, name), off))
+    with pytest.raises(RuntimeError, match="witness recomposition"):
+        gw_distance(*pair, params)
 
 
 def off_removals(source, target):
@@ -475,7 +534,7 @@ def test_line_p1_rejects_off_removals_before_any_witness_read(source, target, me
     nu = DiscreteMeasure(1, [[0.0], [1.5]], [1.0, 1.0])
     params = GwParams(1.0, 1.0, 1.0)
     assert gw_distance(mu, nu, params).value == pytest.approx(0.5)
-    calls = count_couplings(monkeypatch)
+    calls = count_calls(monkeypatch, _minflow, "monotone_coupling")
     monkeypatch.setattr(_minflow, "_slack_witness", off_removals(source, target))
     with pytest.raises(RuntimeError, match=message):
         gw_distance(mu, nu, params)
