@@ -6,10 +6,11 @@ Three primitives live here:
   one KKT check from either backend: the SSP below, whose node potentials
   are the duals, up to SSP_MAX_ATOMS atoms per side, and HiGHS through
   ``scipy.optimize.linprog`` above that, with the SSP as its fallback.
-  The check reads the node-arc incidence as index arrays
-  (:class:`_Incidence`), so scipy is imported only inside :func:`_highs`,
-  on the first LP that runs HiGHS; the line solver, the SSP and everything
-  that uses only them run on numpy alone;
+  Each LP reads and returns its arcs as (rows, cols, flows) arrays, and
+  the check reads the node-arc incidence from those index arrays, so
+  scipy is imported only inside :func:`_highs`, on the first LP that runs
+  HiGHS; the line solver, the SSP and everything that uses only them run
+  on numpy alone;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
   masses by complementary slackness and certifies them; when a witness
@@ -24,7 +25,7 @@ Three primitives live here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,48 +64,28 @@ class OptimalityCertificateError(RuntimeError):
     """The LP solution returned by the backend failed KKT re-verification."""
 
 
-@dataclass(frozen=True)
-class _Incidence:
-    """Node-arc incidence matrix of an n x m transportation LP, as indices.
-
-    Column k has a one in supply row ``src[k]`` and one in demand row
-    ``n + tgt[k]``.  Like a sparse matrix, it supports ``A @ x`` and
-    ``A.T @ y`` in O(arcs), so :func:`_check_certificate` reads either.
-    """
-
-    src: np.ndarray
-    tgt: np.ndarray
-    n: int
-    m: int
-    transposed: bool = False
-
-    @property
-    def T(self):
-        return replace(self, transposed=not self.transposed)
-
-    def __matmul__(self, v):
-        if self.transposed:
-            return v[self.src] + v[self.n + self.tgt]
-        return np.concatenate([np.bincount(self.src, weights=v, minlength=self.n),
-                               np.bincount(self.tgt, weights=v, minlength=self.m)])
-
-
-def _check_certificate(c, a_mat, rhs, partial, x, y, mass, bounds_upper=None):
+def _check_certificate(c, rows, cols, supply, demand, partial, x, y):
     """Re-verify LP optimality from primal/dual pair (x, y).
 
-    ``a_mat`` is a scipy sparse matrix or an :class:`_Incidence`; only
-    ``a_mat @ x`` and ``a_mat.T @ y`` are read.  Every row of ``a_mat`` is
-    an inequality A x <= b if ``partial``, else an equality.  Conditions
-    checked: primal feasibility, dual sign for inequality rows (y <= 0 for
-    a minimization with A x <= b), complementary slackness on rows, and
-    reduced-cost conditions against the variable bounds.  Primal values
-    are tested to CERT_TOL * ``mass`` (the total mass), duals to CERT_TOL
+    Arc k carries ``x[k]`` from supply row ``rows[k]`` to demand row
+    ``n + cols[k]``, so ``A x`` is two ``bincount``s and ``Aᵀ y`` the gather
+    ``y[rows] + y[n + cols]``.  The rows are inequalities A x <= b if
+    ``partial``, else equalities, with b the supplies and then the demands.
+    Conditions checked: primal feasibility, dual sign for inequality rows
+    (y <= 0 for a minimization with A x <= b), complementary slackness on
+    rows, and nonnegative reduced costs, zero on arcs that carry flow.
+    Primal values are tested to CERT_TOL times the total mass of the LP
+    (the supplies, plus the demands if ``partial``), duals to CERT_TOL
     times the largest |c| (1 if all are 0).
     Raises OptimalityCertificateError.
     """
+    n, m = supply.size, demand.size
+    mass = float(np.sum(supply) + (np.sum(demand) if partial else 0.0))
     tol_m = CERT_TOL * mass
     tol_c = CERT_TOL * (float(np.max(np.abs(c))) or 1.0)
-    ax = a_mat @ x
+    ax = np.concatenate([np.bincount(rows, weights=x, minlength=n),
+                         np.bincount(cols, weights=x, minlength=m)])
+    rhs = np.concatenate([supply, demand])
     if not partial:
         if np.max(np.abs(ax - rhs)) > tol_m:
             raise OptimalityCertificateError("equality row violated")
@@ -116,16 +97,15 @@ def _check_certificate(c, a_mat, rhs, partial, x, y, mass, bounds_upper=None):
             raise OptimalityCertificateError("dual sign violated on inequality row")
         if np.max(np.abs(y) * np.maximum(slack, 0.0)) > tol_c * mass:
             raise OptimalityCertificateError("complementary slackness violated")
-    reduced = c - a_mat.T @ y
+    reduced = c - (y[rows] + y[n + cols])
     at_lower = x <= tol_m
-    at_upper = x >= (np.inf if bounds_upper is None else bounds_upper - tol_m)
-    if np.any(~at_upper & (reduced < -tol_c)):
+    if np.any(reduced < -tol_c):
         raise OptimalityCertificateError("negative reduced cost at a non-upper-bound variable")
     if np.any(~at_lower & (reduced > tol_c)):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
-def _highs(c, incidence, rhs, partial, mass):
+def _highs(c, rows, cols, supply, demand, partial):
     """HiGHS backend of :func:`_solve_lp`, on costs scaled to a largest |cost|
     of 1: ``(x, value)``, or None if HiGHS fails or its duals fail the check."""
     # imported here: scipy.sparse and scipy.optimize take most of the
@@ -134,17 +114,19 @@ def _highs(c, incidence, rhs, partial, mass):
     from scipy.optimize import linprog
 
     k = np.arange(c.size)         # column k is arc k
-    node = np.concatenate([incidence.src, incidence.n + incidence.tgt])
+    node = np.concatenate([rows, supply.size + cols])
     a_mat = sp.csr_matrix((np.ones(2 * k.size), (node, np.concatenate([k, k]))),
-                          shape=(incidence.n + incidence.m, k.size))
+                          shape=(supply.size + demand.size, k.size))
     c_scale = float(np.max(np.abs(c))) or 1.0
-    rows = {"A_ub": a_mat, "b_ub": rhs} if partial else {"A_eq": a_mat, "b_eq": rhs}
-    res = linprog(c / c_scale, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS, **rows)
+    rhs = np.concatenate([supply, demand])
+    constraints = {"A_ub": a_mat, "b_ub": rhs} if partial else {"A_eq": a_mat, "b_eq": rhs}
+    res = linprog(c / c_scale, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS,
+                  **constraints)
     if res.status != 0:
         return None
     duals = (res.ineqlin if partial else res.eqlin).marginals
     try:
-        _check_certificate(c / c_scale, incidence, rhs, partial, res.x, duals, mass)
+        _check_certificate(c / c_scale, rows, cols, supply, demand, partial, res.x, duals)
     except OptimalityCertificateError:
         return None
     return res.x, float(res.fun) * c_scale
@@ -154,38 +136,39 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
     """Transportation LP over the arcs of ``arc_mask``, with inequality
     marginals if ``partial``, else equality marginals.  At most
     SSP_MAX_ATOMS atoms per side go to the SSP, larger instances to HiGHS
-    and, if it fails, to the SSP; either answer is certified."""
+    and, if it fails, to the SSP; either answer is certified.
+
+    Returns ``(rows, cols, flows, value)``: arc k of ``arc_mask``, in
+    row-major order, moves ``flows[k]`` from source ``rows[k]`` to target
+    ``cols[k]``.
+    """
     n, m = cost.shape
-    arcs = np.flatnonzero(arc_mask.ravel())
-    flows = np.zeros((n, m))
-    if arcs.size == 0:
-        return flows, 0.0
-    incidence = _Incidence(arcs // m, arcs % m, n, m)
-    rhs = np.concatenate([supply, demand])
-    c = cost.ravel()[arcs]
-    mass = float(np.sum(supply) + (np.sum(demand) if partial else 0.0))
-    solved = _highs(c, incidence, rhs, partial, mass) if max(n, m) > SSP_MAX_ATOMS else None
+    rows, cols = np.nonzero(arc_mask)
+    if rows.size == 0:
+        return rows, cols, np.zeros(0), 0.0
+    c = cost[rows, cols]
+    solved = _highs(c, rows, cols, supply, demand, partial) if max(n, m) > SSP_MAX_ATOMS else None
     if solved is None:
         # Dijkstra needs costs >= 0; a source-to-sink path has one forward
         # arc more than backward arcs, so its cost shifts by exactly ``shift``
         shift = min(float(np.min(c)), 0.0)
         ssp_flows, pot = _ssp(cost - shift, supply, demand, arc_mask, -shift if partial else np.inf)
-        x = ssp_flows.ravel()[arcs]
+        x = ssp_flows[rows, cols]
         if partial:
             duals = np.minimum(0.0, np.concatenate([-pot[:n], pot[n:n + m] - pot[-1]]))
         else:
             duals = np.concatenate([-pot[:n], pot[n:n + m] + shift])
-        _check_certificate(c, incidence, rhs, partial, x, duals, mass)
+        _check_certificate(c, rows, cols, supply, demand, partial, x, duals)
         solved = x, float(np.dot(c, x))
-    flows.ravel()[arcs] = solved[0]
-    return flows, solved[1]
+    return rows, cols, solved[0], solved[1]
 
 
 def solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Exact balanced transportation solve: min <cost, G>, G 1 = supply, G^T 1 = demand.
 
-    Returns ``(flows, value)`` where flows is the optimal (n, m) matrix.
-    Optimality is certified from the duals before returning.
+    Returns ``(rows, cols, flows, value)``: arc k moves ``flows[k]`` from
+    source ``rows[k]`` to target ``cols[k]``, one arc per cell in row-major
+    order.  Optimality is certified from the duals before returning.
     """
     return _solve_lp(cost, supply, demand, np.ones(cost.shape, dtype=bool), partial=False)
 
@@ -199,7 +182,8 @@ def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: n
     variables (the rest are fixed to zero).  Costs may be negative; the
     optimum then trades off transport profit against the marginal caps.
 
-    Returns ``(flows, value)`` with flows dense (n, m).
+    Returns ``(rows, cols, flows, value)`` on the arcs of ``arc_mask``, in
+    row-major order, as :func:`solve_transportation` does.
     """
     return _solve_lp(cost, supply, demand, arc_mask, partial=True)
 

@@ -55,7 +55,7 @@ from . import _minflow
 from .measures import (DEFAULT_QUANTUM, DiscreteMeasure, canonicalize,
                        measure_to_json, total_mass)
 from ._minflow import RECOMPOSE_TOL, TIE_EPS
-from .transport import TransportPlan, _arc_cost, _carries_flow, cost_matrix
+from .transport import TransportPlan, _arc_cost, _carried_arcs, cost_matrix
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,7 @@ def _assemble(mu, nu, params, rows, cols, flows, solver_value):
     own optimum to RECOMPOSE_TOL * a(|mu| + |nu|), or RuntimeError is
     raised; the kept sub-measures and the plan are built on first read.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    flows = np.asarray(flows, dtype=float)
-    keep = _carries_flow(flows, mu.weights[rows], nu.weights[cols])
-    rows, cols, flows = rows[keep], cols[keep], flows[keep]
+    rows, cols, flows = _carried_arcs(rows, cols, flows, mu, nu)
     kept_w = np.bincount(rows, flows, minlength=mu.n_atoms)
     kept_u = np.bincount(cols, flows, minlength=nu.n_atoms)
     src_idx = np.flatnonzero(kept_w)
@@ -181,9 +177,9 @@ def _gw_dense_p1(mu, nu, params):
     arc_mask = params.b * dist < 2.0 * params.a * (1.0 - TIE_EPS)
     removal = params.a * (total_mass(mu) + total_mass(nu))
     modified = params.b * dist - 2.0 * params.a
-    flows, lp_obj = _minflow.solve_partial_transportation(modified, mu.weights, nu.weights, arc_mask)
-    rows, cols = np.nonzero(flows)
-    return _assemble(mu, nu, params, rows, cols, flows[rows, cols], removal + lp_obj)
+    rows, cols, flows, lp_obj = _minflow.solve_partial_transportation(
+        modified, mu.weights, nu.weights, arc_mask)
+    return _assemble(mu, nu, params, rows, cols, flows, removal + lp_obj)
 
 
 def _gw_line_p1(mu, nu, params):

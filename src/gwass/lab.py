@@ -116,18 +116,15 @@ def _worst(checks: Iterable[CheckResult]) -> tuple[CheckResult, ...]:
 
 # --- metric suite ---------------------------------------------------------------
 
-def run_metric_suite(trials: int = 1000, seed: int | None = None,
-                     plan_hook=None) -> SuiteReport:
+def run_metric_suite(trials: int = 1000, seed: int | None = None) -> SuiteReport:
     """Metric axioms and structural bounds on random instances.
 
     Per trial: three random measures (<= 8 atoms, dim <= 3), random
     a, b in [0.1, 10] and p in {1, 2}.  Aggregates the worst margin of each
-    property over all trials.  ``plan_hook(params, result)`` is invoked for
-    every solve so callers can audit the witness plans.
+    property over all trials.
     """
     t0 = time.time()
     rng = np.random.default_rng(resolve_seed(seed))
-    hook = plan_hook or (lambda params, result: None)
     checks = []
     for _ in range(trials):
         dim = int(rng.integers(1, 4))
@@ -136,16 +133,10 @@ def run_metric_suite(trials: int = 1000, seed: int | None = None,
         mu = random_measure(rng, dim=dim)
         nu = random_measure(rng, dim=dim)
         eta = random_measure(rng, dim=dim)
-        r_mn = gw_distance(mu, nu, params)
-        hook(params, r_mn)
-        g_mn = r_mn.value
+        g_mn = gw_distance(mu, nu, params).value
         g_nm = gw_distance(nu, mu, params).value
-        r_ne = gw_distance(nu, eta, params)
-        hook(params, r_ne)
-        g_ne = r_ne.value
-        r_me = gw_distance(mu, eta, params)
-        hook(params, r_me)
-        g_me = r_me.value
+        g_ne = gw_distance(nu, eta, params).value
+        g_me = gw_distance(mu, eta, params).value
         scale_ref = max(1.0, g_mn, g_me)
         wm, wn = total_mass(mu), total_mass(nu)
         g_sum = gw_distance(add(mu, nu), add(nu, eta), params).value

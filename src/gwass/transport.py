@@ -25,10 +25,14 @@ from . import _minflow
 from .measures import DiscreteMeasure, total_mass
 
 
-def _carries_flow(flows: np.ndarray, src_w: np.ndarray, tgt_w: np.ndarray) -> np.ndarray:
-    """Mask of the arcs that survive the residue rule of ``_minflow.FLOW_EPS``;
-    ``src_w``/``tgt_w`` are the weights of each arc's two atoms."""
-    return flows > _minflow.FLOW_EPS * np.minimum(src_w, tgt_w)
+def _carried_arcs(rows, cols, flows, source: DiscreteMeasure, target: DiscreteMeasure):
+    """The arcs ``(rows, cols, flows)`` between the atoms of ``source`` and
+    ``target`` that survive the residue rule of ``_minflow.FLOW_EPS``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    flows = np.asarray(flows, dtype=float)
+    keep = flows > _minflow.FLOW_EPS * np.minimum(source.weights[rows], target.weights[cols])
+    return rows[keep], cols[keep], flows[keep]
 
 
 def _arc_cost(src_pos: np.ndarray, tgt_pos: np.ndarray, flows: np.ndarray, p: float) -> float:
@@ -61,13 +65,6 @@ class TransportPlan:
             arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_matrix(cls, flows: np.ndarray, source: DiscreteMeasure,
-                    target: DiscreteMeasure) -> "TransportPlan":
-        rows, cols = np.nonzero(_carries_flow(flows, source.weights[:, None],
-                                              target.weights[None, :]))
-        return cls(rows, cols, flows[rows, cols], source, target)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         row = np.bincount(self.rows, self.flows, minlength=self.source_ref.n_atoms)
@@ -149,13 +146,14 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WpResult:
 
     # a single atom on either side forces the plan up to rescaling
     if mu.n_atoms == 1 or nu.n_atoms == 1:
-        flows = np.outer(mu.weights, nu.weights) / u_mass
-        value = float(np.sum(flows * cost_matrix(mu, nu, p))) ** (1.0 / p)
-        return WpResult(value, TransportPlan.from_matrix(flows, mu, nu), p)
-
-    # each side scaled to a total of 1, which also makes the LP feasible
-    flows, raw = _minflow.solve_transportation(cost_matrix(mu, nu, p), mu.weights / w_mass,
-                                               nu.weights / u_mass)
-    value = (w_mass * max(raw, 0.0)) ** (1.0 / p)
-    return WpResult(value, TransportPlan.from_matrix(flows * w_mass, mu, nu), p)
+        rows, cols = np.divmod(np.arange(mu.n_atoms * nu.n_atoms), nu.n_atoms)
+        flows = mu.weights[rows] * nu.weights[cols] / u_mass
+        value = _arc_cost(mu.positions[rows], nu.positions[cols], flows, p) ** (1.0 / p)
+    else:
+        # each side scaled to a total of 1, which also makes the LP feasible
+        rows, cols, flows, raw = _minflow.solve_transportation(
+            cost_matrix(mu, nu, p), mu.weights / w_mass, nu.weights / u_mass)
+        flows = flows * w_mass
+        value = (w_mass * max(raw, 0.0)) ** (1.0 / p)
+    return WpResult(value, TransportPlan(*_carried_arcs(rows, cols, flows, mu, nu), mu, nu), p)
 

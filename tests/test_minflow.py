@@ -1,52 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.optimize import linprog
+from exact_oracle import exact_p1_gw
 
 from gwass import _minflow
 from gwass._minflow import (RECOMPOSE_TOL, OptimalityCertificateError, _check_certificate,
-                            _Incidence, monotone_coupling, parametric_partial_transport,
-                            solve_line_partial_w1, solve_transportation)
+                            monotone_coupling, parametric_partial_transport,
+                            solve_line_partial_w1, solve_partial_transportation,
+                            solve_transportation)
 from gwass.gw import GwParams, _assemble, gw_distance
 from gwass.measures import DiscreteMeasure
-
-
-def line_lp_oracle(src_pos, src_w, tgt_pos, tgt_w, a, b):
-    """The 1-d, p=1 distance as a HiGHS LP on the path graph of the atoms.
-
-    Variables: kept mass per atom and a forward and a backward flux per gap
-    between consecutive positions.  For cost |x - y| the transport term of
-    any coupling equals the integral of |flux| along the line, so this LP
-    is an exact reformulation; its optimum is certified from the duals.
-    """
-    n, m = src_w.size, tgt_w.size
-    nodes = np.unique(np.concatenate([src_pos, tgt_pos]))
-    node_of_src = np.searchsorted(nodes, src_pos)
-    node_of_tgt = np.searchsorted(nodes, tgt_pos)
-    n_nodes = nodes.size
-    n_gaps = n_nodes - 1
-    gaps = np.arange(n_gaps)
-    # variable layout: [k (n), l (m), f+ (gaps), f- (gaps)]
-    n_var = n + m + 2 * n_gaps
-    rows = np.concatenate([node_of_src, node_of_tgt, gaps, gaps + 1, gaps, gaps + 1])
-    cols = np.concatenate([np.arange(n), n + np.arange(m),
-                           n + m + gaps, n + m + gaps,
-                           n + m + n_gaps + gaps, n + m + n_gaps + gaps])
-    data = np.concatenate([np.ones(n), -np.ones(m),
-                           -np.ones(n_gaps), np.ones(n_gaps),
-                           np.ones(n_gaps), -np.ones(n_gaps)])
-    a_mat = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_var))
-    rhs = np.zeros(n_nodes)
-    gap_len = np.diff(nodes)
-    c = np.concatenate([np.full(n, -a), np.full(m, -a), b * gap_len, b * gap_len])
-    upper = np.concatenate([src_w, tgt_w, np.full(2 * n_gaps, np.inf)])
-    res = linprog(c, A_eq=a_mat, b_eq=rhs, bounds=np.column_stack([np.zeros(n_var), upper]),
-                  method="highs")
-    assert res.status == 0, res.message
-    mass = float(np.sum(src_w) + np.sum(tgt_w))
-    _check_certificate(c, a_mat, rhs, False, res.x, res.eqlin.marginals, mass,
-                       bounds_upper=upper)
-    return a * mass + float(res.fun)
 
 
 def random_line_instance(rng):
@@ -75,12 +37,14 @@ def random_line_instance(rng):
     return x, w, y, u, a, b
 
 
-def test_line_solver_matches_path_graph_lp():
+def test_line_solver_matches_exact_min_cost_flow():
     rng = np.random.default_rng(2016)
     for _ in range(600):
         x, w, y, u, a, b = random_line_instance(rng)
         kept_w, kept_u, value = solve_line_partial_w1(x, w, y, u, a, b)
-        assert value == pytest.approx(line_lp_oracle(x, w, y, u, a, b), rel=1e-9, abs=1e-12)
+        exact = exact_p1_gw(DiscreteMeasure(1, x[:, None], w), DiscreteMeasure(1, y[:, None], u),
+                            a, b)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
         assert np.all(kept_w >= 0) and np.all(kept_w <= w)
         assert np.all(kept_u >= 0) and np.all(kept_u <= u)
         # the kept parts are a witness: removal plus monotone transport recomposes
@@ -144,41 +108,28 @@ def test_parametric_segments_trace_feasible_convex_curve(equal_mass, monkeypatch
             t_hi = seg.t_lo + seg.slope * (seg.m_hi - seg.m_lo)
             assert np.sum(g * cost) == pytest.approx(t_hi, rel=1e-9, abs=1e-12)
         if equal_mass:
-            _, lp_value = solve_transportation(cost, supply, demand)
+            lp_value = solve_transportation(cost, supply, demand)[-1]
             t_end = segments[-1].t_lo + segments[-1].slope * (segments[-1].m_hi - segments[-1].m_lo)
             assert t_end == pytest.approx(lp_value, rel=1e-9)
 
 
-def two_by_two_pair(partial, incidence):
-    """A certified 2x2 transportation primal-dual pair ``(c, a_mat, rhs, x, y)``.
+def two_by_two_pair(partial):
+    """A certified 2x2 transportation primal-dual pair ``(c, rows, cols, x, y)``.
 
-    Arcs 00, 01, 10, 11; rows are the two supplies, then the two demands.
-    ``a_mat`` is the csr matrix or the same incidence as an
-    :class:`_Incidence`.  The identity plan is optimal: balanced with zero
-    duals on costs [0, 1, 1, 0], or partial with duals -1 on costs
+    Arcs 00, 01, 10, 11 over unit supplies and demands; duals are the two
+    supplies, then the two demands.  The identity plan is optimal: balanced
+    with zero duals on costs [0, 1, 1, 0], or partial with duals -1 on costs
     [-2, 1, 1, -2].
     """
-    if incidence == "csr":
-        a_mat = sp.csr_matrix(np.array([[1, 1, 0, 0], [0, 0, 1, 1],
-                                        [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float))
-    else:
-        a_mat = _Incidence(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), 2, 2)
+    rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     x = np.array([1.0, 0.0, 0.0, 1.0])
     if partial:
-        return np.array([-2.0, 1.0, 1.0, -2.0]), a_mat, np.ones(4), x, np.full(4, -1.0)
-    return np.array([0.0, 1.0, 1.0, 0.0]), a_mat, np.ones(4), x, np.zeros(4)
+        return np.array([-2.0, 1.0, 1.0, -2.0]), rows, cols, x, np.full(4, -1.0)
+    return np.array([0.0, 1.0, 1.0, 0.0]), rows, cols, x, np.zeros(4)
 
 
-def test_index_incidence_is_the_csr_incidence():
-    csr = two_by_two_pair(False, "csr")[1]
-    index = two_by_two_pair(False, "index")[1]
-    rng = np.random.default_rng(3)
-    x, y = rng.standard_normal(4), rng.standard_normal(4)
-    assert np.array_equal(index @ x, csr @ x)
-    assert np.array_equal(index.T @ y, csr.T @ y)
-
-
-@pytest.mark.parametrize("incidence", ["csr", "index"])
+# the certificate reads arcs in any order, not only _solve_lp's row-major one
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 1, 0, 2]], ids=["index", "permuted"])
 @pytest.mark.parametrize("partial, x, y, message", [
     (False, [1.0, 0.5, 0.0, 1.0], None, "equality row violated"),
     (True, None, [0.5, -1.0, -1.0, -1.0], "dual sign violated on inequality row"),
@@ -187,13 +138,51 @@ def test_index_incidence_is_the_csr_incidence():
     (True, [1.0, 0.5, 0.0, 1.0], None, "inequality row violated"),
     (True, [0.5, 0.0, 0.0, 1.0], None, "complementary slackness violated"),
 ])
-def test_certificate_rejects_each_corrupted_condition(partial, x, y, message, incidence):
-    c, a_mat, rhs, x0, y0 = two_by_two_pair(partial, incidence)
-    _check_certificate(c, a_mat, rhs, partial, x0, y0, 4.0)
-    x = x0 if x is None else np.array(x)
+def test_certificate_rejects_each_corrupted_condition(partial, x, y, message, order):
+    c, rows, cols, x0, y0 = two_by_two_pair(partial)
+    c, rows, cols, x0 = c[order], rows[order], cols[order], x0[order]
+    ones = np.ones(2)
+    _check_certificate(c, rows, cols, ones, ones, partial, x0, y0)
+    x = x0 if x is None else np.array(x)[order]
     y = y0 if y is None else np.array(y)
     with pytest.raises(OptimalityCertificateError, match=message):
-        _check_certificate(c, a_mat, rhs, partial, x, y, 4.0)
+        _check_certificate(c, rows, cols, ones, ones, partial, x, y)
+
+
+def dense_partial_lp_value(cost, supply, demand, arc_mask):
+    """The partial transportation LP on every cell of ``cost``, each cell
+    outside ``arc_mask`` held at zero by its bounds: a HiGHS solve that
+    shares no arc indexing with _minflow."""
+    from scipy.optimize import linprog
+    n, m = cost.shape
+    a_ub = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    upper = np.where(arc_mask.ravel(), np.inf, 0.0)
+    res = linprog(cost.ravel(), A_ub=a_ub, b_ub=np.concatenate([supply, demand]),
+                  bounds=np.column_stack([np.zeros(n * m), upper]), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("ssp_max", [_minflow.SSP_MAX_ATOMS, 0], ids=["ssp", "highs"])
+def test_partial_transportation_returns_the_masked_arcs(ssp_max, monkeypatch):
+    monkeypatch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        n, m = (int(k) for k in rng.integers(1, 9, 2))
+        # negative costs inside the radius, as in the dense p=1 LP of gw
+        cost = rng.uniform(0.0, 3.0, (n, m)) - 2.0
+        supply, demand = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m)
+        arc_mask = rng.random((n, m)) < 0.6
+        rows, cols, flows, value = solve_partial_transportation(cost, supply, demand, arc_mask)
+        assert np.array_equal(rows, np.nonzero(arc_mask)[0])
+        assert np.array_equal(cols, np.nonzero(arc_mask)[1])
+        tol = 1e-9 * (supply.sum() + demand.sum())
+        assert np.all(flows >= -tol)
+        assert np.all(np.bincount(rows, flows, minlength=n) <= supply + tol)
+        assert np.all(np.bincount(cols, flows, minlength=m) <= demand + tol)
+        assert value == pytest.approx(float(np.dot(cost[rows, cols], flows)), rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(dense_partial_lp_value(cost, supply, demand, arc_mask),
+                                      rel=1e-7, abs=1e-9)
 
 
 LINE_PAIR = (np.array([0.0, 1.0]), np.array([1.0, 1.0]),
