@@ -1,16 +1,17 @@
 """Exact min-cost transportation machinery shared by the distance solvers.
 
-Three primitives live here:
+Four primitives live here:
 
 * transportation LPs with equality or inequality marginals, certified by
   one KKT check from either backend: the SSP below, whose node potentials
-  are the duals, up to SSP_MAX_ATOMS atoms per side, and HiGHS through
-  ``scipy.optimize.linprog`` above that, with the SSP as its fallback.
-  Each LP reads and returns its arcs as (rows, cols, flows) arrays, and
-  the check reads the node-arc incidence from those index arrays, so
-  scipy is imported only inside :func:`_highs`, on the first LP that runs
-  HiGHS; the line solver, the SSP and everything that uses only them run
-  on numpy alone;
+  are the duals, up to SSP_MAX_ATOMS atoms per side, and HiGHS above that,
+  with the SSP as its fallback.  HiGHS runs through scipy's bundled
+  bindings (``scipy.optimize._highspy._core``), on one model per instance
+  built by :func:`_highs` from the arc index arrays.  Each LP reads and
+  returns its arcs as (rows, cols, flows) arrays, and the check reads the
+  node-arc incidence from those index arrays, so scipy is imported only
+  inside :func:`_highs`, on the first solve that runs HiGHS; the line
+  solver, the SSP and everything that uses only them run on numpy alone;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
   masses by complementary slackness and certifies them; when a witness
@@ -18,8 +19,13 @@ Three primitives live here:
   (quantile) coupling, which returns its arcs as (rows, cols, flows) arrays;
 * a successive-shortest-path (SSP) solver that traces the exact
   piecewise-linear value of partial transport as a function of the
-  transported mass, used by the p > 1 solver and, stopped at a given path
-  cost, by the LPs.
+  transported mass (:func:`trace_partial_transport`) and, stopped at a
+  given path cost, solves the LPs;
+* the vertices of that curve that the p > 1 solver scans
+  (:func:`parametric_partial_transport`): the whole SSP trace up to
+  SSP_MAX_ATOMS atoms per side; above it, the max-mass vertex alone when
+  two Lagrangian probes on one HiGHS model certify it optimal, and the
+  trace when they do not.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ MASS_TOL = 1e-9
 #: atoms per side go to the SSP, larger ones to HiGHS (crossover measured in
 #: docs/derivations.md section 9).
 SSP_MAX_ATOMS = 12
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL}
 
 
 class OptimalityCertificateError(RuntimeError):
@@ -71,9 +76,11 @@ def _check_certificate(c, rows, cols, supply, demand, partial, x, y):
     ``n + cols[k]``, so ``A x`` is two ``bincount``s and ``Aᵀ y`` the gather
     ``y[rows] + y[n + cols]``.  The rows are inequalities A x <= b if
     ``partial``, else equalities, with b the supplies and then the demands.
-    Conditions checked: primal feasibility, dual sign for inequality rows
-    (y <= 0 for a minimization with A x <= b), complementary slackness on
-    rows, and nonnegative reduced costs, zero on arcs that carry flow.
+    Conditions checked: primal feasibility, of the rows and of the bounds
+    x >= 0 (HiGHS's absolute tolerance admits negative flows at small
+    masses), dual sign for inequality rows (y <= 0 for a minimization with
+    A x <= b), complementary slackness on rows, and nonnegative reduced
+    costs, zero on arcs that carry flow.
     Primal values are tested to CERT_TOL times the total mass of the LP
     (the supplies, plus the demands if ``partial``), duals to CERT_TOL
     times the largest |c| (1 if all are 0).
@@ -86,6 +93,8 @@ def _check_certificate(c, rows, cols, supply, demand, partial, x, y):
     ax = np.concatenate([np.bincount(rows, weights=x, minlength=n),
                          np.bincount(cols, weights=x, minlength=m)])
     rhs = np.concatenate([supply, demand])
+    if np.min(x) < -tol_m:
+        raise OptimalityCertificateError("negative flow")
     if not partial:
         if np.max(np.abs(ax - rhs)) > tol_m:
             raise OptimalityCertificateError("equality row violated")
@@ -105,31 +114,61 @@ def _check_certificate(c, rows, cols, supply, demand, partial, x, y):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
-def _highs(c, rows, cols, supply, demand, partial):
-    """HiGHS backend of :func:`_solve_lp`, on costs scaled to a largest |cost|
-    of 1: ``(x, value)``, or None if HiGHS fails or its duals fail the check."""
-    # imported here: scipy.sparse and scipy.optimize take most of the
-    # package's import time, and no solve at or below SSP_MAX_ATOMS uses them
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
+def _highs(rows, cols, supply, demand, partial):
+    """One HiGHS model of the transportation LP on the arcs ``(rows, cols)``,
+    driven through scipy's bundled bindings: column k is arc k, with unit
+    entries in supply row ``rows[k]`` and demand row ``n + cols[k]``.
 
-    k = np.arange(c.size)         # column k is arc k
-    node = np.concatenate([rows, supply.size + cols])
-    a_mat = sp.csr_matrix((np.ones(2 * k.size), (node, np.concatenate([k, k]))),
-                          shape=(supply.size + demand.size, k.size))
-    c_scale = float(np.max(np.abs(c))) or 1.0
+    Returns ``solve(c)``: it sets the costs to ``c`` scaled to a largest
+    |cost| of 1 and runs HiGHS, from the last basis if an earlier call left
+    one, and returns ``(flows, row duals)`` with the duals in the units of
+    ``c``, or None if HiGHS ends in a status other than optimal or its duals
+    fail the KKT check.
+    """
+    # imported here: scipy.optimize takes most of the package's import time,
+    # and no solve at or below SSP_MAX_ATOMS uses it
+    from scipy.optimize._highspy import _core
+
+    n, k = supply.size, rows.size
     rhs = np.concatenate([supply, demand])
-    constraints = {"A_ub": a_mat, "b_ub": rhs} if partial else {"A_eq": a_mat, "b_eq": rhs}
-    res = linprog(c / c_scale, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS,
-                  **constraints)
-    if res.status != 0:
-        return None
-    duals = (res.ineqlin if partial else res.eqlin).marginals
-    try:
-        _check_certificate(c / c_scale, rows, cols, supply, demand, partial, res.x, duals)
-    except OptimalityCertificateError:
-        return None
-    return res.x, float(res.fun) * c_scale
+    lp = _core.HighsLp()
+    lp.num_col_ = k
+    lp.num_row_ = rhs.size
+    lp.col_cost_ = np.zeros(k)
+    lp.col_lower_ = np.zeros(k)
+    lp.col_upper_ = np.full(k, _core.kHighsInf)
+    lp.row_lower_ = np.full(rhs.size, -_core.kHighsInf) if partial else rhs
+    lp.row_upper_ = rhs
+    matrix = lp.a_matrix_
+    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.num_col_ = k
+    matrix.num_row_ = rhs.size
+    # the bindings copy a list into an integer vector several times faster
+    # than an integer array
+    matrix.start_ = list(range(0, 2 * k + 1, 2))
+    matrix.index_ = np.column_stack([rows, n + cols]).ravel().tolist()
+    matrix.value_ = np.ones(2 * k)
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("primal_feasibility_tolerance", HIGHS_TOL)
+    highs.setOptionValue("dual_feasibility_tolerance", HIGHS_TOL)
+    highs.passModel(lp)
+    columns = np.arange(k)
+
+    def solve(c):
+        c_scale = float(np.max(np.abs(c))) or 1.0
+        highs.changeColsCost(k, columns, c / c_scale)
+        highs.run()
+        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+            return None
+        solution = highs.getSolution()
+        x, duals = np.array(solution.col_value), np.array(solution.row_dual)
+        try:
+            _check_certificate(c / c_scale, rows, cols, supply, demand, partial, x, duals)
+        except OptimalityCertificateError:
+            return None
+        return x, duals * c_scale
+    return solve
 
 
 def _solve_lp(cost, supply, demand, arc_mask, partial):
@@ -147,8 +186,10 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
     if rows.size == 0:
         return rows, cols, np.zeros(0), 0.0
     c = cost[rows, cols]
-    solved = _highs(c, rows, cols, supply, demand, partial) if max(n, m) > SSP_MAX_ATOMS else None
-    if solved is None:
+    solved = _highs(rows, cols, supply, demand, partial)(c) if max(n, m) > SSP_MAX_ATOMS else None
+    if solved is not None:
+        x = solved[0]
+    else:
         # Dijkstra needs costs >= 0; a source-to-sink path has one forward
         # arc more than backward arcs, so its cost shifts by exactly ``shift``
         shift = min(float(np.min(c)), 0.0)
@@ -159,8 +200,7 @@ def _solve_lp(cost, supply, demand, arc_mask, partial):
         else:
             duals = np.concatenate([-pot[:n], pot[n:n + m] + shift])
         _check_certificate(c, rows, cols, supply, demand, partial, x, duals)
-        solved = x, float(np.dot(c, x))
-    return rows, cols, solved[0], solved[1]
+    return rows, cols, x, float(np.dot(c, x))
 
 
 def solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
@@ -463,7 +503,75 @@ class ParametricSegment:
     flows_hi: np.ndarray
 
 
-def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
+                                 a: float, b: float, p: float):
+    """The vertices of T(m) that the p > 1 scan of ``gw`` has to visit.
+
+    ``gw`` minimizes f(m) = a(|supply| + |demand| - 2m) + b T(m)^(1/p) over
+    the transported mass m, with T as in :func:`trace_partial_transport`.
+    At most SSP_MAX_ATOMS atoms per side, or when the probes of
+    :func:`_top_vertex` do not certify the max-mass vertex, this is the whole
+    trace.  Otherwise it is that one vertex, as a segment of zero length.
+    ``cost`` must be nonnegative.
+
+    Returns a list of :class:`ParametricSegment`; the scan reads their ends.
+    """
+    if max(cost.shape) > SSP_MAX_ATOMS:
+        top = _top_vertex(cost, supply, demand, a, b, p)
+        if top is not None:
+            return [top]
+    return trace_partial_transport(cost, supply, demand)
+
+
+def _top_vertex(cost, supply, demand, a, b, p):
+    """The max-mass vertex of T, if two Lagrangian probes on one HiGHS model
+    certify it as the minimum of f to TIE_EPS * a(|supply| + |demand|).
+
+    Probe 1 prices every arc at ``cost - lam_top``, with ``lam_top`` above
+    the cost of any augmenting path, so its optimum moves all the mass it
+    can at least cost: the vertex (m_top, t_top).  Probe 2 re-solves from
+    that basis at ``cost - lam`` with lam = 2a t_top^(1 - 1/p) / b, the
+    slope whose line through the vertex meets T = 0 where f equals
+    f(m_top).  Its duals, clipped to dual feasibility, bound
+    min_m T(m) - lam m from below, and so the Lagrangian gap of probe 1's
+    flow; then f(m) >= f(m_top) - loss on [0, min(|supply|, |demand|)], with
+    loss = 2a gap / lam plus 2a times any mass probe 1 fell short of the
+    maximum (docs/derivations.md section 5).  With t_top = 0, f(m_top) is
+    least already and probe 2 is skipped.
+
+    Returns the vertex as the :class:`ParametricSegment` [m_top, m_top], or
+    None if a probe fails or the loss is too large.
+    """
+    n, m = cost.shape
+    c = cost.ravel()
+    solve = _highs(np.repeat(np.arange(n), m), np.tile(np.arange(m), n), supply, demand, True)
+    # an augmenting path has at most min(n, m) forward arcs, each costing
+    # at most max(c), and backward arcs of cost <= 0
+    lam_top = (min(n, m) + 1) * (float(np.max(c)) or 1.0)
+    solved = solve(c - lam_top)
+    if solved is None:
+        return None
+    flows = solved[0]
+    m_top, t_top = float(np.sum(flows)), float(np.dot(c, flows))
+    loss = 2.0 * a * max(0.0, min(float(np.sum(supply)), float(np.sum(demand))) - m_top)
+    if t_top > 0:
+        lam = 2.0 * a * t_top ** (1.0 - 1.0 / p) / b
+        solved = solve(c - lam)
+        if solved is None:
+            return None
+        # clipped to y <= 0, z <= 0 and y_i + z_j <= cost_ij - lam, the
+        # duals are feasible, so their value is a lower bound
+        z = np.minimum(solved[1][n:], 0.0)
+        y = np.minimum(np.minimum(solved[1][:n], 0.0), np.min(cost - lam - z, axis=1))
+        lower = float(np.dot(supply, y) + np.dot(demand, z))
+        loss += 2.0 * a * max(0.0, t_top - lam * m_top - lower) / lam
+    if loss > TIE_EPS * a * float(np.sum(supply) + np.sum(demand)):
+        return None
+    return ParametricSegment(m_lo=m_top, m_hi=m_top, t_lo=t_top, slope=0.0,
+                             flows_hi=flows.reshape(n, m))
+
+
+def trace_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Trace T(m) = min {<cost, G> : G >= 0, G1 <= supply, G^T 1 <= demand, sum G = m}.
 
     Successive shortest augmenting paths on the bipartite flow network give

@@ -22,11 +22,15 @@ Three exact solver paths, plus removal of everything when a side is empty:
   arcs with b*d < 2a can carry flow.  :mod:`gwass._minflow` solves it on
   the SSP below a measured crossover size and on HiGHS above it.
 * p > 1: the transported-mass parametrization.  T(m), the minimal coupling
-  cost at transported mass m, is convex piecewise linear and is traced
-  exactly by successive shortest paths; the objective
+  cost at transported mass m, is convex piecewise linear; the objective
   f(m) = a(|mu|+|nu|-2m) + b*T(m)^(1/p) is concave on each linear piece of
   T (its second derivative has the sign of 1/p - 1), so the global minimum
-  is attained at a breakpoint and scanning breakpoints is exact.
+  is attained at a breakpoint and scanning breakpoints is exact.  Up to
+  :data:`_minflow.SSP_MAX_ATOMS` atoms per side, successive shortest paths
+  trace every breakpoint.  Above it, two Lagrangian probes on one HiGHS
+  model find the max-mass vertex and a supporting line of T through it;
+  when the line bounds f below by the vertex's value, that vertex is the
+  only one scanned, and otherwise the trace runs.
 
 Ties between transporting and removing are broken toward removal, so the
 witness decomposition is deterministic; the value is unaffected.
@@ -200,10 +204,16 @@ def _gw_line_p1(mu, nu, params):
 
 
 def _gw_parametric(mu, nu, params):
-    """p > 1 solve by scanning the breakpoints of the transported-mass curve."""
-    w_mass, u_mass = total_mass(mu), total_mass(nu)
+    """p > 1 solve by scanning the vertices of the transported-mass curve."""
     cost = cost_matrix(mu, nu, params.p)
-    segments = _minflow.parametric_partial_transport(cost, mu.weights, nu.weights)
+    segments = _minflow.parametric_partial_transport(cost, mu.weights, nu.weights,
+                                                     params.a, params.b, params.p)
+    return _scan(mu, nu, params, segments)
+
+
+def _scan(mu, nu, params, segments):
+    """The least f(m) over m = 0 and the segment ends, ties toward less mass."""
+    w_mass, u_mass = total_mass(mu), total_mass(nu)
     best_val = params.a * (w_mass + u_mass)   # m = 0, pure removal
     best_seg = None
     for seg in segments:

@@ -1,10 +1,11 @@
 """The library names that the benchmark's tracer (perfbench/spans.py) wraps
-and reads must exist, and a traced 1-d p=1 solve must be recognized as one."""
+and reads must exist, and traced solves must be recognized by their path."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gwass import gw
@@ -43,3 +44,23 @@ def test_traced_line_p1_solve_reads_as_line_p1_without_a_witness(spans):
     layer = tracer.metrics(1)
     assert layer["gw.path.line_p1"] == 1
     assert layer["minflow.monotone_coupling.calls"] == layer["gw._assemble.calls"] == 0
+
+
+def test_traced_p2_solve_above_the_crossover_reads_as_parametric(spans):
+    # the two HiGHS probes run inside parametric_partial_transport, which
+    # returns the one vertex the scan needs
+    rng = np.random.default_rng(3)
+    mu, nu = (DiscreteMeasure(2, rng.uniform(0, 1, (14, 2)), rng.uniform(0.5, 1.5, 14))
+              for _ in range(2))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        gw.gw_distance(mu, nu, gw.GwParams(1.0, 1.0, 2.0)).value
+    finally:
+        tracer.uninstall()
+    tracer.assert_clean()
+    layer = tracer.metrics(1)
+    assert layer["gw.path.parametric"] == 1
+    assert layer["minflow.parametric_partial_transport.segments"] == 1
+    assert layer["minflow._check_certificate.calls"] == 2
+    assert layer["minflow.solve_partial_transportation.calls"] == 0

@@ -8,16 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwass import _minflow, gw
-from gwass.gw import (GwParams, _gw_dense_p1, _gw_parametric,
-                      gw_brute_force, gw_distance)
+from gwass.gw import GwParams, _gw_dense_p1, gw_brute_force, gw_distance
 from gwass.lab import box_closed_form
 from gwass.measures import (DiscreteMeasure, add, canonicalize, scale,
                             total_mass, tv_distance)
+from gwass.transport import cost_matrix
 
 
 def random_instance(rng, dim=1, max_atoms=6):
     n = int(rng.integers(1, max_atoms + 1))
     return DiscreteMeasure(dim, rng.uniform(-2, 2, (n, dim)), rng.uniform(0.05, 2, n))
+
+
+def traced_gw(mu, nu, params):
+    """gw of canonical measures by the p > 1 scan over the whole SSP trace of
+    T(m): an oracle that runs no HiGHS solve at any size and any p."""
+    segments = _minflow.trace_partial_transport(cost_matrix(mu, nu, params.p),
+                                                mu.weights, nu.weights)
+    return gw._scan(mu, nu, params, segments).value
 
 
 def test_params_validation():
@@ -80,14 +88,15 @@ def test_box_closed_form_against_scalar_minimization():
 
 def test_solver_paths_agree(monkeypatch):
     # at p=1: the line DP (1-d), the dense LP on each backend, and the
-    # parametric scan; sizes reach both sides of the SSP/HiGHS crossover
+    # parametric scan over the SSP trace; sizes reach both sides of the
+    # SSP/HiGHS crossover
     rng = np.random.default_rng(17)
     for dim, max_atoms, count in ((1, 6, 120), (2, 8, 60), (2, 20, 12), (3, 20, 12)):
         for _ in range(count):
             mu = canonicalize(random_instance(rng, dim, max_atoms))
             nu = canonicalize(random_instance(rng, dim, max_atoms))
             params = GwParams(rng.uniform(0.1, 10), rng.uniform(0.1, 10), 1.0)
-            scan = _gw_parametric(mu, nu, params).value
+            scan = traced_gw(mu, nu, params)
             for ssp_max in (0, 1000):
                 with monkeypatch.context() as patch:
                     patch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
@@ -293,20 +302,31 @@ def test_value_is_homogeneous_in_the_mass():
                     assert abs(scaled / k - unit) <= slack, (dim, p, n, m, k)
 
 
+def record_highs_solves(monkeypatch):
+    """Patch ``_minflow._highs`` so that each solve on each model it builds
+    appends whether HiGHS's answer passed (status and KKT check)."""
+    passed = []
+    highs_model = _minflow._highs
+
+    def highs(*args):
+        solve = highs_model(*args)
+
+        def recorded(c):
+            solved = solve(c)
+            passed.append(solved is not None)
+            return solved
+        return recorded
+
+    monkeypatch.setattr(_minflow, "_highs", highs)
+    return passed
+
+
 @pytest.mark.parametrize("lo, hi, count", [(5, 8, 12), (20, 24, 3)])
 def test_dense_p1_with_huge_masses_and_tiny_b(lo, hi, count, monkeypatch):
     # weights 10^U(7, 9) with b/a = 10^U(-6, -3): HiGHS can report such
     # bounded LPs "unbounded"; the SSP solves them below the crossover and
     # is HiGHS's fallback above it
-    highs_failures = []
-
-    def highs(*args):
-        solved = highs_solve(*args)
-        highs_failures.append(solved is None)
-        return solved
-
-    highs_solve = _minflow._highs
-    monkeypatch.setattr(_minflow, "_highs", highs)
+    solves = record_highs_solves(monkeypatch)
     rng = np.random.default_rng(79 + lo)
     for _ in range(count):
         n, m = (int(v) for v in rng.integers(lo, hi + 1, 2))
@@ -315,9 +335,141 @@ def test_dense_p1_with_huge_masses_and_tiny_b(lo, hi, count, monkeypatch):
         a = rng.uniform(0.1, 2)
         params = GwParams(a, a * 10.0 ** rng.uniform(-6, -3))
         value = gw_distance(mu, nu, params).value
-        scan = _gw_parametric(canonicalize(mu), canonicalize(nu), params).value
+        scan = traced_gw(canonicalize(mu), canonicalize(nu), params)
         assert abs(value - scan) <= 1e-9 * a * (total_mass(mu) + total_mass(nu))
-    assert any(highs_failures) == (lo > _minflow.SSP_MAX_ATOMS)
+    assert (not all(solves)) == (lo > _minflow.SSP_MAX_ATOMS)
+
+
+@pytest.mark.parametrize("ssp_max", [_minflow.SSP_MAX_ATOMS, 0], ids=["ssp", "highs"])
+def test_dense_p1_moves_mass_on_arcs_just_inside_the_cutoff(ssp_max, monkeypatch):
+    # three pairs 10 apart at b*d = 0.995, 0.992 and 0.998 times 2a: each
+    # saves (2a - b*d) per unit moved, so the optimum moves mass on all
+    # three; an arc mask cut at 0.99 * 2a would drop them and return removal
+    monkeypatch.setattr(_minflow, "SSP_MAX_ATOMS", ssp_max)
+    a, b = 1.5, 0.75
+    radius = 2 * a / b
+    mu = canonicalize(DiscreteMeasure(2, [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]], [1.0, 2.0, 0.5]))
+    nu = canonicalize(DiscreteMeasure(2, [[0.0, 0.995 * radius], [10.0, 0.992 * radius],
+                                          [20.0, 0.998 * radius]], [1.5, 1.0, 0.5]))
+    r = gw_distance(mu, nu, GwParams(a, b, 1.0))
+    exact = exact_p1_gw(mu, nu, a, b)
+    assert abs(r.value - float(exact)) <= _minflow.RECOMPOSE_TOL * a * 6.5
+    assert float(exact) < a * 6.5 - 0.01
+    assert r.plan.flows.size == 3
+
+
+def probe_pairs(seed, count, radius):
+    """``count`` 2-d canonical pairs with 13 to 18 atoms per side in the unit
+    square, above the crossover, each with a in [0.5, 2] and 2a/b in
+    ``radius``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mu, nu = (canonicalize(DiscreteMeasure(2, rng.uniform(0, 1, (n, 2)),
+                                               rng.uniform(0.05, 2, n)))
+                  for n in rng.integers(13, 19, 2))
+        a = rng.uniform(0.5, 2.0)
+        yield mu, nu, a, 2 * a / rng.uniform(*radius)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_probes_above_the_crossover_agree_with_the_trace(p, monkeypatch):
+    # every arc inside 2a/b: the optimum moves all the mass, and the two
+    # probes certify it with no trace
+    traces = count_calls(monkeypatch, _minflow, "trace_partial_transport")
+    solves = record_highs_solves(monkeypatch)
+    for mu, nu, a, b in probe_pairs(int(10 * p), 8, (1.5, 2.0)):
+        params = GwParams(a, b, p)
+        r = gw_distance(mu, nu, params)
+        assert traces == [] and solves == [True, True]
+        tol = _minflow.RECOMPOSE_TOL * a * (total_mass(mu) + total_mass(nu))
+        assert abs(r.value - traced_gw(mu, nu, params)) <= tol
+        assert abs(r.value - r.value_from_parts(params)) <= tol
+        assert total_mass(r.kept_source) == pytest.approx(
+            min(total_mass(mu), total_mass(nu)), rel=1e-12)
+        traces.clear()
+        solves.clear()
+
+
+def test_interior_optimum_above_the_crossover_falls_back_to_the_trace(monkeypatch):
+    # 2a/b in [0.05, 0.1] of the unit square: the optimum moves less than
+    # all the mass it could, so probe 2 leaves a gap and the trace decides;
+    # its answer is the oracle's
+    traces = count_calls(monkeypatch, _minflow, "trace_partial_transport")
+    for mu, nu, a, b in probe_pairs(5, 6, (0.05, 0.1)):
+        params = GwParams(a, b, 2.0)
+        r = gw_distance(mu, nu, params)
+        assert len(traces) == 1
+        assert r.value == traced_gw(mu, nu, params)
+        assert total_mass(r.kept_source) < 0.99 * min(total_mass(mu), total_mass(nu))
+        traces.clear()
+
+
+def test_zero_cost_top_vertex_needs_one_probe(monkeypatch):
+    # 14 shared sites with 1.5 times more mass on nu: all of mu moves at
+    # zero cost, so T* = 0, f(m_max) is least, and probe 2 is skipped
+    traces = count_calls(monkeypatch, _minflow, "trace_partial_transport")
+    solves = record_highs_solves(monkeypatch)
+    rng = np.random.default_rng(14)
+    pos, w = rng.uniform(0, 1, (14, 2)), rng.uniform(0.05, 2, 14)
+    mu, nu = DiscreteMeasure(2, pos, w), DiscreteMeasure(2, pos, 1.5 * w)
+    r = gw_distance(mu, nu, GwParams(0.7, 1.3, 2.0))
+    assert traces == [] and solves == [True]
+    assert r.value == pytest.approx(0.7 * 0.5 * w.sum(), rel=1e-12)
+    assert r.plan.cost(2.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_probe_two_rejects_a_top_vertex_worse_than_removal(p, monkeypatch):
+    # 12 shared sites 10 apart, and a 13th pair at distance d = 2.5a/b, all
+    # of weight 1: T is 0 up to m = 12, then rises with slope d^p.  Moving
+    # the 13th pair costs b*d = 2.5a > 2a, so the optimum removes it and
+    # gw = 2a.  Probe 2's slope 2a d^(p-1)/b is below d^p, which leaves the
+    # gap that rejects the top vertex; 1.5 times that slope would reach d^p
+    # and accept it.
+    traces = count_calls(monkeypatch, _minflow, "trace_partial_transport")
+    a, b = 1.0, 1.0
+    x = np.column_stack([10.0 * np.arange(13), np.zeros(13)])
+    y = x.copy()
+    y[-1, 1] = 2.5 * a / b
+    mu, nu = DiscreteMeasure(2, x, np.ones(13)), DiscreteMeasure(2, y, np.ones(13))
+    r = gw_distance(mu, nu, GwParams(a, b, p))
+    assert len(traces) == 1
+    assert r.value == pytest.approx(2 * a, abs=_minflow.RECOMPOSE_TOL * a * 26)
+
+
+@pytest.mark.parametrize("case, failing_run", [("parametric_p2", 1), ("parametric_p2", 2),
+                                               ("dense_p1", 1)],
+                         ids=["probe_1", "probe_2", "dense_p1"])
+def test_a_non_optimal_highs_status_falls_back_to_the_ssp(case, failing_run, monkeypatch):
+    # HiGHS's own status is forced to "unbounded" on one run: the p > 1
+    # solve returns the trace's answer, the dense p = 1 solve the SSP's
+    from scipy.optimize._highspy import _core
+
+    runs = []
+
+    class FailingHighs(_core._Highs):
+        def run(self):
+            runs.append(1)
+            return super().run()
+
+        def getModelStatus(self):
+            if len(runs) == failing_run:
+                return _core.HighsModelStatus.kUnbounded
+            return super().getModelStatus()
+
+    monkeypatch.setattr(_core, "_Highs", FailingHighs)
+    traces = count_calls(monkeypatch, _minflow, "trace_partial_transport")
+    mu, nu = (canonicalize(m) for m in unit_cube_pair(2, 14, 9))
+    if case == "dense_p1":
+        value = gw_distance(mu, nu, GwParams(1.0, 1.0, 1.0)).value
+        assert runs == [1] and traces == []
+        assert abs(value - float(exact_p1_gw(mu, nu, 1.0, 1.0))) <= (
+            _minflow.RECOMPOSE_TOL * (total_mass(mu) + total_mass(nu)))
+    else:
+        params = GwParams(1.0, 1.0, 2.0)
+        value = gw_distance(mu, nu, params).value
+        assert len(runs) == failing_run and len(traces) == 1
+        assert value == traced_gw(mu, nu, params)
 
 
 def test_identity_of_indiscernibles():
@@ -435,6 +587,7 @@ WITNESS_CASES = {   # mu, nu, p, HiGHS solves, monotone couplings on first read,
     "dense_p1_ssp": (*unit_cube_pair(2, 12, 1), 1.0, 0, 0, None),
     "dense_p1_highs": (*unit_cube_pair(2, 13, 2), 1.0, 1, 0, None),
     "parametric_p2": (*unit_cube_pair(2, 6, 3), 2.0, 0, 0, None),
+    "parametric_p2_probes": (*unit_cube_pair(2, 13, 10), 2.0, 1, 0, None),
     "empty_side": (DiscreteMeasure.zero(2), unit_cube_pair(2, 3, 4)[0], 1.0, 0, 0, None),
 }
 
@@ -481,7 +634,8 @@ def off_optimum(function, off):
     ("solve_partial_transportation", unit_cube_pair(2, 5, 5), 1.0),
     ("solve_partial_transportation", unit_cube_pair(2, 13, 6), 1.0),
     ("parametric_partial_transport", unit_cube_pair(2, 5, 7), 2.0),
-], ids=["dense_p1_ssp", "dense_p1_highs", "parametric_p2"])
+    ("parametric_partial_transport", unit_cube_pair(2, 13, 8), 2.0),
+], ids=["dense_p1_ssp", "dense_p1_highs", "parametric_p2", "parametric_p2_probes"])
 def test_a_wrong_solver_optimum_raises_at_solve_time(name, pair, p, monkeypatch):
     params = GwParams(1.0, 1.0, p)
     gw_distance(*pair, params)

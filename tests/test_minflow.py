@@ -4,9 +4,9 @@ from exact_oracle import exact_p1_gw
 
 from gwass import _minflow
 from gwass._minflow import (RECOMPOSE_TOL, OptimalityCertificateError, _check_certificate,
-                            monotone_coupling, parametric_partial_transport,
-                            solve_line_partial_w1, solve_partial_transportation,
-                            solve_transportation)
+                            monotone_coupling, solve_line_partial_w1,
+                            solve_partial_transportation, solve_transportation,
+                            trace_partial_transport)
 from gwass.gw import GwParams, _assemble, gw_distance
 from gwass.measures import DiscreteMeasure
 
@@ -87,7 +87,7 @@ def test_parametric_segments_trace_feasible_convex_curve(equal_mass, monkeypatch
     rng = np.random.default_rng(41 + equal_mass)
     for _ in range(60):
         cost, supply, demand = random_network(rng, equal_mass)
-        segments = parametric_partial_transport(cost, supply, demand)
+        segments = trace_partial_transport(cost, supply, demand)
         total = min(supply.sum(), demand.sum())
         tol = 1e-12 * max(total, 1.0)
         assert segments[0].m_lo == 0.0 and segments[0].t_lo == 0.0
@@ -137,6 +137,7 @@ def two_by_two_pair(partial):
     (False, None, [-1.0, 0.0, 0.0, 0.0], "positive reduced cost"),
     (True, [1.0, 0.5, 0.0, 1.0], None, "inequality row violated"),
     (True, [0.5, 0.0, 0.0, 1.0], None, "complementary slackness violated"),
+    (True, [1.0, -0.5, 0.0, 1.0], None, "negative flow"),
 ])
 def test_certificate_rejects_each_corrupted_condition(partial, x, y, message, order):
     c, rows, cols, x0, y0 = two_by_two_pair(partial)
@@ -183,6 +184,57 @@ def test_partial_transportation_returns_the_masked_arcs(ssp_max, monkeypatch):
         assert value == pytest.approx(float(np.dot(cost[rows, cols], flows)), rel=1e-12, abs=1e-12)
         assert value == pytest.approx(dense_partial_lp_value(cost, supply, demand, arc_mask),
                                       rel=1e-7, abs=1e-9)
+
+
+#: Every name the HiGHS backend reads from scipy's bundled bindings, by owner.
+HIGHS_BINDINGS = {
+    "_core": ("HighsLp", "MatrixFormat", "HighsModelStatus", "_Highs", "kHighsInf"),
+    "lp": ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+           "row_upper_", "a_matrix_"),
+    "matrix": ("format_", "num_col_", "num_row_", "start_", "index_", "value_"),
+    "highs": ("setOptionValue", "passModel", "changeColsCost", "run", "getModelStatus",
+              "getSolution"),
+    "solution": ("col_value", "row_dual"),
+}
+
+
+def test_highs_bindings_provide_every_name_the_backend_uses():
+    # scipy's _highspy._core is private: pin what _minflow._highs reads from
+    # it, and keep this list in step with the source
+    import inspect
+    import re
+
+    from scipy.optimize._highspy import _core
+
+    source = inspect.getsource(_minflow._highs)
+    for owner, names in HIGHS_BINDINGS.items():
+        assert set(re.findall(rf"\b{owner}\.(\w+)", source)) == set(names), owner
+    for name in HIGHS_BINDINGS["_core"]:
+        assert hasattr(_core, name), name
+    assert _core.MatrixFormat.kColwise != _core.MatrixFormat.kRowwise
+    assert _core.HighsModelStatus.kOptimal.name == "kOptimal"
+    lp = _core.HighsLp()
+    for name in HIGHS_BINDINGS["lp"]:
+        assert hasattr(lp, name), name
+    for name in HIGHS_BINDINGS["matrix"]:
+        assert hasattr(lp.a_matrix_, name), name
+    for name in HIGHS_BINDINGS["highs"]:
+        assert callable(getattr(_core._Highs, name)), name
+    for name in HIGHS_BINDINGS["solution"]:
+        assert hasattr(_core.HighsSolution(), name), name
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_highs_model_solves_again_from_its_basis_with_new_costs(partial):
+    # the 2x2 pair, then its costs swapped within each row: a second solve
+    # on the same model moves the plan to the other diagonal
+    c, rows, cols, x, _ = two_by_two_pair(partial)
+    ones = np.ones(2)
+    solve = _minflow._highs(rows, cols, ones, ones, partial)
+    for costs, plan in ((c, x), (c[[1, 0, 3, 2]], 1.0 - x)):
+        flows, duals = solve(costs)
+        assert flows == pytest.approx(plan, abs=1e-12)
+        _check_certificate(costs, rows, cols, ones, ones, partial, flows, duals)
 
 
 LINE_PAIR = (np.array([0.0, 1.0]), np.array([1.0, 1.0]),

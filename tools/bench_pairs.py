@@ -98,7 +98,7 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="one line that describes the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-start", type=int, default=501)
-    ap.add_argument("--note", default="No gain is claimed.")
+    ap.add_argument("--note", help="default: the claim, or that no gain is claimed")
     ap.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "TARGET_RATIO"))
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -125,16 +125,18 @@ def main(argv=None):
                     for name in ("wall_s", "setup_s")), flush=True)
             workloads[workload] = summarize(pairs)
 
-    claimed = None
+    claimed, note = None, args.note or "No gain is claimed."
     if args.claim:
         claimed = {"workload": args.claim[0], "metric": args.claim[1],
                    "target_ratio": float(args.claim[2])}
+        note = args.note or (f"Claimed: {args.claim[0]} {args.claim[1]} at most "
+                             f"{args.claim[2]}x the parent's median.")
     out = {
         "parent": short,
         "change": args.change,
         "note": "Named after the parent commit, since a commit cannot hold its own hash. "
                 f"Medians and quartiles (inclusive method) over {args.pairs} parent/change "
-                f"pairs per workload. {args.note}",
+                f"pairs per workload. {note}",
         "command": " ".join(bench["command"]) + " --workload NAME --seed SEED "
                    f"--seconds {bench['run_seconds']:g} --trace 0",
         "seeds": seeds,
