@@ -22,7 +22,8 @@ Four primitives live here:
   transported mass (:func:`trace_partial_transport`) and, stopped at a
   given path cost, solves the LPs;
 * the vertices of that curve that the p > 1 solver scans
-  (:func:`parametric_partial_transport`): the whole SSP trace up to
+  (:func:`parametric_partial_transport`), as the ``(m, t, flows)`` triples
+  of :func:`trace_partial_transport`: the whole SSP trace up to
   SSP_MAX_ATOMS atoms per side; above it, the max-mass vertex alone when
   two Lagrangian probes on one HiGHS model certify it optimal, and the
   trace when they do not.
@@ -31,7 +32,6 @@ Four primitives live here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -487,22 +487,6 @@ def monotone_coupling(src_pos: np.ndarray, src_w: np.ndarray,
             np.array(flows, dtype=float))
 
 
-@dataclass(frozen=True)
-class ParametricSegment:
-    """One linear piece of the partial-transport value function T(m).
-
-    On ``m in [m_lo, m_hi]`` the minimal transport cost is
-    ``t_lo + slope * (m - m_lo)``; ``flows_hi`` is the optimal flow matrix
-    at ``m_hi``.
-    """
-
-    m_lo: float
-    m_hi: float
-    t_lo: float
-    slope: float
-    flows_hi: np.ndarray
-
-
 def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
                                  a: float, b: float, p: float):
     """The vertices of T(m) that the p > 1 scan of ``gw`` has to visit.
@@ -511,10 +495,10 @@ def parametric_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: n
     the transported mass m, with T as in :func:`trace_partial_transport`.
     At most SSP_MAX_ATOMS atoms per side, or when the probes of
     :func:`_top_vertex` do not certify the max-mass vertex, this is the whole
-    trace.  Otherwise it is that one vertex, as a segment of zero length.
-    ``cost`` must be nonnegative.
+    trace.  Otherwise it is that one vertex.  ``cost`` must be nonnegative.
 
-    Returns a list of :class:`ParametricSegment`; the scan reads their ends.
+    Returns a list of ``(m, t, flows)`` vertices, as
+    :func:`trace_partial_transport` does.
     """
     if max(cost.shape) > SSP_MAX_ATOMS:
         top = _top_vertex(cost, supply, demand, a, b, p)
@@ -539,8 +523,9 @@ def _top_vertex(cost, supply, demand, a, b, p):
     maximum (docs/derivations.md section 5).  With t_top = 0, f(m_top) is
     least already and probe 2 is skipped.
 
-    Returns the vertex as the :class:`ParametricSegment` [m_top, m_top], or
-    None if a probe fails or the loss is too large.
+    Returns the vertex ``(m_top, t_top, flows)`` as
+    :func:`trace_partial_transport` lists vertices, or None if a probe fails
+    or the loss is too large.
     """
     n, m = cost.shape
     c = cost.ravel()
@@ -567,8 +552,7 @@ def _top_vertex(cost, supply, demand, a, b, p):
         loss += 2.0 * a * max(0.0, t_top - lam * m_top - lower) / lam
     if loss > TIE_EPS * a * float(np.sum(supply) + np.sum(demand)):
         return None
-    return ParametricSegment(m_lo=m_top, m_hi=m_top, t_lo=t_top, slope=0.0,
-                             flows_hi=flows.reshape(n, m))
+    return m_top, t_top, flows
 
 
 def trace_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
@@ -578,17 +562,20 @@ def trace_partial_transport(cost: np.ndarray, supply: np.ndarray, demand: np.nda
     the exact convex piecewise-linear T over m in [0, min(|supply|,|demand|)]:
     every augmentation transports mass at the current cheapest marginal cost
     (the path cost), and path costs are nondecreasing.  Each augmentation
-    ends one segment, so every breakpoint of T is a segment end; consecutive
-    segments may share a slope.  ``cost`` must be nonnegative.
+    ends at one vertex, so every breakpoint of T is a vertex; three
+    consecutive vertices may be collinear.  ``cost`` must be nonnegative.
 
-    Returns the list of :class:`ParametricSegment`.
+    Returns the vertices after each augmentation, in order of increasing m,
+    as triples ``(m, t, flows)``: t = T(m), and ``flows`` is an optimal plan
+    at m on all n*m arcs in row-major order, arc k going from source
+    ``k // m`` to target ``k % m``.  The origin (0, 0) is not listed.
     """
-    segments = []
-    _ssp(cost, supply, demand, np.ones(cost.shape, dtype=bool), np.inf, segments)
-    return segments
+    vertices = []
+    _ssp(cost, supply, demand, np.ones(cost.shape, dtype=bool), np.inf, vertices)
+    return vertices
 
 
-def _ssp(cost, supply, demand, arc_mask, stop, segments=None):
+def _ssp(cost, supply, demand, arc_mask, stop, vertices=None):
     """Successive shortest paths on the arcs of ``arc_mask`` (cost >= 0).
 
     The network is one dense residual-capacity matrix over the nodes
@@ -597,8 +584,9 @@ def _ssp(cost, supply, demand, arc_mask, stop, segments=None):
     the first path whose cost would reach ``stop``, or when none is left;
     a finite ``stop`` clamps the last Dijkstra at the source-sink gap, so
     the final potentials have gap ``stop`` and residual reduced costs >= 0.
-    Appends a :class:`ParametricSegment` per augmentation to ``segments`` if
-    given.  Returns the flow matrix and the node potentials.
+    Appends the vertex ``(m, t, flows)`` of :func:`trace_partial_transport`
+    reached by each augmentation to ``vertices`` if given.  Returns the flow
+    matrix and the node potentials.
     """
     n, m = cost.shape
     n_nodes = n + m + 2
@@ -637,13 +625,11 @@ def _ssp(cost, supply, demand, arc_mask, stop, segments=None):
         bottleneck = min(cap[tails, heads].tolist())
         cap[tails, heads] -= bottleneck
         cap[heads, tails] += bottleneck
-        if segments is not None:
-            segments.append(ParametricSegment(
-                m_lo=m_done, m_hi=m_done + bottleneck, t_lo=t_done,
-                slope=float(slope), flows_hi=cap[tgt, :n].T.copy(),
-            ))
         m_done += bottleneck
         t_done += float(slope) * bottleneck
+        if vertices is not None:
+            # flatten copies; ravel would return a view of cap when a side has one atom
+            vertices.append((m_done, t_done, cap[tgt, :n].T.flatten()))
     return cap[tgt, :n].T.copy(), pot
 
 

@@ -25,12 +25,13 @@ Three exact solver paths, plus removal of everything when a side is empty:
   cost at transported mass m, is convex piecewise linear; the objective
   f(m) = a(|mu|+|nu|-2m) + b*T(m)^(1/p) is concave on each linear piece of
   T (its second derivative has the sign of 1/p - 1), so the global minimum
-  is attained at a breakpoint and scanning breakpoints is exact.  Up to
-  :data:`_minflow.SSP_MAX_ATOMS` atoms per side, successive shortest paths
-  trace every breakpoint.  Above it, two Lagrangian probes on one HiGHS
-  model find the max-mass vertex and a supporting line of T through it;
-  when the line bounds f below by the vertex's value, that vertex is the
-  only one scanned, and otherwise the trace runs.
+  is attained at a vertex of T, and scanning the vertices, the
+  (m, T(m), flows) triples of :func:`_minflow.trace_partial_transport`,
+  is exact.  Up to :data:`_minflow.SSP_MAX_ATOMS` atoms per side,
+  successive shortest paths trace every vertex.  Above it, two Lagrangian
+  probes on one HiGHS model find the max-mass vertex and a supporting line
+  of T through it; when the line bounds f below by the vertex's value,
+  that vertex is the only one scanned, and otherwise the trace runs.
 
 Ties between transporting and removing are broken toward removal, so the
 witness decomposition is deterministic; the value is unaffected.
@@ -206,27 +207,25 @@ def _gw_line_p1(mu, nu, params):
 def _gw_parametric(mu, nu, params):
     """p > 1 solve by scanning the vertices of the transported-mass curve."""
     cost = cost_matrix(mu, nu, params.p)
-    segments = _minflow.parametric_partial_transport(cost, mu.weights, nu.weights,
+    vertices = _minflow.parametric_partial_transport(cost, mu.weights, nu.weights,
                                                      params.a, params.b, params.p)
-    return _scan(mu, nu, params, segments)
+    return _scan(mu, nu, params, vertices)
 
 
-def _scan(mu, nu, params, segments):
-    """The least f(m) over m = 0 and the segment ends, ties toward less mass."""
+def _scan(mu, nu, params, vertices):
+    """The least f(m) over the origin and the vertices (m, t, flows) of T,
+    ties toward less mass."""
     w_mass, u_mass = total_mass(mu), total_mass(nu)
     best_val = params.a * (w_mass + u_mass)   # m = 0, pure removal
-    best_seg = None
-    for seg in segments:
-        t_hi = seg.t_lo + seg.slope * (seg.m_hi - seg.m_lo)
-        w_term = t_hi ** (1.0 / params.p) if t_hi > 0 else 0.0
-        val = params.a * (w_mass + u_mass - 2.0 * seg.m_hi) + params.b * w_term
+    best_flows = []
+    for m, t, flows in vertices:
+        w_term = t ** (1.0 / params.p) if t > 0 else 0.0
+        val = params.a * (w_mass + u_mass - 2.0 * m) + params.b * w_term
         if val < best_val - TIE_EPS * params.a * (w_mass + u_mass):
             best_val = val
-            best_seg = seg
-    if best_seg is None:
-        return _assemble(mu, nu, params, [], [], [], best_val)
-    rows, cols = np.nonzero(best_seg.flows_hi)
-    return _assemble(mu, nu, params, rows, cols, best_seg.flows_hi[rows, cols], best_val)
+            best_flows = flows
+    rows, cols = np.divmod(np.arange(len(best_flows)), nu.n_atoms)
+    return _assemble(mu, nu, params, rows, cols, best_flows, best_val)
 
 
 def gw_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, params: GwParams,

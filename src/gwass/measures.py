@@ -116,8 +116,8 @@ def canonicalize(mu: DiscreteMeasure, quantum: float = DEFAULT_QUANTUM) -> Discr
     Raises ``ValueError`` when a lattice index |x| / quantum does not fit in
     int64, rather than letting distant atoms wrap around and merge.
     """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
+    if not (quantum > 0 and np.isfinite(quantum)):
+        raise ValueError(f"quantum must be a positive finite number, got {quantum}")
     if mu.n_atoms == 0:
         return mu
     sites, w = _merge_sites(_lattice_keys(mu.positions, quantum), mu.weights)

@@ -124,7 +124,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WpResult:
         :class:`MassMismatchError`, since W_p is undefined between measures
         of different mass.
     p : float
-        Cost exponent, p >= 1.
+        Cost exponent, finite and >= 1.
 
     Returns
     -------
@@ -133,7 +133,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WpResult:
         the optimal plan.  Single-atom inputs short-circuit to the closed
         form; everything else goes through the certified LP.
     """
-    if p < 1:
+    if not (p >= 1 and np.isfinite(p)):
         raise ValueError(f"p must be >= 1, got {p}")
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwass import gw
-from gwass.measures import DiscreteMeasure
+from gwass import _minflow, gw
+from gwass.measures import DiscreteMeasure, canonicalize
+from gwass.transport import cost_matrix
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +65,27 @@ def test_traced_p2_solve_above_the_crossover_reads_as_parametric(spans):
     assert layer["minflow.parametric_partial_transport.segments"] == 1
     assert layer["minflow._check_certificate.calls"] == 2
     assert layer["minflow.solve_partial_transportation.calls"] == 0
+
+
+def test_traced_p2_solve_at_the_crossover_counts_the_trace_vertices(spans):
+    # at or below SSP_MAX_ATOMS the scan reads every vertex of the SSP trace,
+    # and the tracer counts them with len
+    rng = np.random.default_rng(5)
+    mu, nu = (DiscreteMeasure(2, rng.uniform(0, 1, (_minflow.SSP_MAX_ATOMS, 2)),
+                              rng.uniform(0.5, 1.5, _minflow.SSP_MAX_ATOMS))
+              for _ in range(2))
+    params = gw.GwParams(1.0, 1.0, 2.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        gw.gw_distance(mu, nu, params).value
+    finally:
+        tracer.uninstall()
+    tracer.assert_clean()
+    layer = tracer.metrics(1)
+    mu_c, nu_c = canonicalize(mu), canonicalize(nu)
+    vertices = _minflow.trace_partial_transport(cost_matrix(mu_c, nu_c, params.p),
+                                                mu_c.weights, nu_c.weights)
+    assert layer["gw.path.parametric"] == 1
+    assert layer["minflow.parametric_partial_transport.segments"] == len(vertices) > 1
+    assert layer["minflow._check_certificate.calls"] == 0

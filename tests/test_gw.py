@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -23,9 +22,9 @@ def random_instance(rng, dim=1, max_atoms=6):
 def traced_gw(mu, nu, params):
     """gw of canonical measures by the p > 1 scan over the whole SSP trace of
     T(m): an oracle that runs no HiGHS solve at any size and any p."""
-    segments = _minflow.trace_partial_transport(cost_matrix(mu, nu, params.p),
+    vertices = _minflow.trace_partial_transport(cost_matrix(mu, nu, params.p),
                                                 mu.weights, nu.weights)
-    return gw._scan(mu, nu, params, segments).value
+    return gw._scan(mu, nu, params, vertices).value
 
 
 def test_params_validation():
@@ -625,7 +624,7 @@ def off_optimum(function, off):
         result = function(cost, supply, demand, *args)
         shift = off * (np.sum(supply) + np.sum(demand))
         if isinstance(result, list):
-            return [dataclasses.replace(seg, t_lo=seg.t_lo + shift) for seg in result]
+            return [(m, t + shift, flows) for m, t, flows in result]
         return (*result[:-1], result[-1] + shift)
     return shifted
 

@@ -64,6 +64,9 @@ def test_cli_error_exit_codes(tmp_path, capsys, dirac_files):
     for argv in (["dist", mu, nu, "--a", "0", "--b", "1"],
                  ["oracle", mu, nu, "--a", "1", "--b", "1", "--grid-steps", "0"],
                  ["prokhorov", heavy, nu],
+                 ["wasserstein", mu, nu, "--p", "nan"],
+                 ["wasserstein", mu, nu, "--p", "inf"],
+                 ["dist", mu, nu, "--a", "1", "--b", "1", "--quantum", "nan"],
                  ["simulate", str(tmp_path / "no_config.json"), "--output-dir", str(out_dir)]):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -140,6 +140,9 @@ def test_canonicalize_lattice_range():
     with pytest.raises(ValueError, match="int64 lattice"):
         tv_distance(far, DiscreteMeasure.dirac(0.0))
     assert canonicalize(far, quantum=1e-6).n_atoms == 2
+    for quantum in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="quantum must be a positive finite number"):
+            canonicalize(merged, quantum)
     near = DiscreteMeasure.from_atoms(1, [([9e9], 1.0), ([-9e9], 2.0)])
     c = canonicalize(near)
     assert np.array_equal(c.positions[:, 0], np.rint(np.array([-9e9, 9e9]) / 1e-9) * 1e-9)

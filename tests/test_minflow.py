@@ -81,36 +81,33 @@ def random_network(rng, equal_mass):
 
 
 @pytest.mark.parametrize("equal_mass", [False, True])
-def test_parametric_segments_trace_feasible_convex_curve(equal_mass, monkeypatch):
+def test_trace_vertices_lie_on_a_feasible_convex_curve(equal_mass, monkeypatch):
     # HiGHS is the oracle of the end value, so the LP must not run the SSP
     monkeypatch.setattr(_minflow, "SSP_MAX_ATOMS", 0)
     rng = np.random.default_rng(41 + equal_mass)
     for _ in range(60):
         cost, supply, demand = random_network(rng, equal_mass)
-        segments = trace_partial_transport(cost, supply, demand)
+        vertices = trace_partial_transport(cost, supply, demand)
         total = min(supply.sum(), demand.sum())
         tol = 1e-12 * max(total, 1.0)
-        assert segments[0].m_lo == 0.0 and segments[0].t_lo == 0.0
-        assert segments[-1].m_hi == pytest.approx(total, rel=1e-12)
-        slopes = [seg.slope for seg in segments]
+        masses = [0.0] + [m for m, _, _ in vertices]
+        costs = [0.0] + [t for _, t, _ in vertices]
+        assert all(m1 > m0 for m0, m1 in zip(masses, masses[1:]))
+        assert masses[-1] == pytest.approx(total, rel=1e-12)
+        # chord slopes from the origin on are nondecreasing: T is convex
+        slopes = [(t1 - t0) / (m1 - m0)
+                  for m0, m1, t0, t1 in zip(masses, masses[1:], costs, costs[1:])]
         assert all(s1 >= s0 - 1e-9 * max(1.0, abs(s0)) for s0, s1 in zip(slopes, slopes[1:]))
-        for prev, seg in zip(segments, segments[1:]):
-            assert seg.m_lo == prev.m_hi
-            assert seg.t_lo == pytest.approx(prev.t_lo + prev.slope * (prev.m_hi - prev.m_lo),
-                                             rel=1e-12, abs=1e-15)
-        for seg in segments:
-            g = seg.flows_hi
-            assert seg.m_hi > seg.m_lo
+        for m, t, flows in vertices:
+            g = flows.reshape(cost.shape)
             assert np.all(g >= -tol)
             assert np.all(g.sum(axis=1) <= supply + tol)
             assert np.all(g.sum(axis=0) <= demand + tol)
-            assert g.sum() == pytest.approx(seg.m_hi, rel=1e-12)
-            t_hi = seg.t_lo + seg.slope * (seg.m_hi - seg.m_lo)
-            assert np.sum(g * cost) == pytest.approx(t_hi, rel=1e-9, abs=1e-12)
+            assert g.sum() == pytest.approx(m, rel=1e-12)
+            assert np.sum(g * cost) == pytest.approx(t, rel=1e-9, abs=1e-12)
         if equal_mass:
             lp_value = solve_transportation(cost, supply, demand)[-1]
-            t_end = segments[-1].t_lo + segments[-1].slope * (segments[-1].m_hi - segments[-1].m_lo)
-            assert t_end == pytest.approx(lp_value, rel=1e-9)
+            assert costs[-1] == pytest.approx(lp_value, rel=1e-9)
 
 
 def two_by_two_pair(partial):

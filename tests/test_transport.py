@@ -129,8 +129,9 @@ def test_mass_mismatch_rejected():
         wasserstein(DiscreteMeasure.dirac(0.0, 1.0), DiscreteMeasure.dirac(1.0, 2.0), 1.0)
     with pytest.raises(MassMismatchError):
         wasserstein(DiscreteMeasure.zero(1), DiscreteMeasure.zero(1), 1.0)
-    with pytest.raises(ValueError):
-        wasserstein(DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0), 0.5)
+    for p in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            wasserstein(DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0), p)
 
 
 def test_solver_matches_vertex_enumeration(monkeypatch):

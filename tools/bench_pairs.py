@@ -16,6 +16,13 @@ the script with exit code 1.  The result is written to
 end-to-end metric, the median and quartiles (inclusive method) of each
 side, the ratio of the medians (change over parent) and the number of
 pairs in which the change read lower.
+
+``--claim`` names a workload and an end-to-end metric of ``BENCHMARK.json``
+and a positive target ratio; anything else exits with code 2 before any
+run.  The claim is recorded as met when the change's median is at most the
+target ratio times the parent's, the change reads lower in at least nine
+of ten pairs, and the medians differ by more than the parent's
+interquartile spread.
 """
 
 from __future__ import annotations
@@ -87,6 +94,33 @@ def summarize(pairs):
             "metrics": metrics}
 
 
+def parse_claim(bench, claim):
+    """``--claim WORKLOAD METRIC TARGET_RATIO`` checked against ``bench``,
+    the parsed ``BENCHMARK.json``: the claim as a dict, or ValueError."""
+    workload, metric, target = claim
+    if workload not in [w["name"] for w in bench["workloads"]]:
+        raise ValueError(f"--claim: BENCHMARK.json names no workload {workload!r}")
+    if metric not in [m["name"] for m in bench["end_to_end"]]:
+        raise ValueError(f"--claim: BENCHMARK.json names no end-to-end metric {metric!r}")
+    try:
+        ratio = float(target)
+    except ValueError:
+        ratio = 0.0
+    if not 0 < ratio < float("inf"):
+        raise ValueError(f"--claim: the target ratio must be a positive number, got {target!r}")
+    return {"workload": workload, "metric": metric, "target_ratio": ratio}
+
+
+def claim_met(metric, pairs, target_ratio):
+    """Whether ``metric``, one metric of :func:`summarize` over ``pairs``
+    pairs, meets a claim that the change lowers it to ``target_ratio`` times
+    the parent's median."""
+    parent, change = metric["parent"], metric["change"]
+    return (change["median"] <= target_ratio * parent["median"]
+            and metric["change_lower_pairs"] >= 0.9 * pairs
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
+
+
 def _host(env):
     return (f"{env.get('nproc')}-core {env.get('cpu_model')}, Python {env.get('python')}, "
             f"numpy {env.get('numpy')}, scipy {env.get('scipy')}")
@@ -107,6 +141,12 @@ def main(argv=None):
     root = _git(os.getcwd(), "rev-parse", "--show-toplevel")
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
+    claimed = None
+    if args.claim:
+        try:
+            claimed = parse_claim(bench, args.claim)
+        except ValueError as exc:
+            ap.error(str(exc))
     short = _git(root, "rev-parse", "--short=7", args.parent)
     seeds = [args.seed_start + i for i in range(args.pairs)]
     workloads, env = {}, {}
@@ -125,12 +165,14 @@ def main(argv=None):
                     for name in ("wall_s", "setup_s")), flush=True)
             workloads[workload] = summarize(pairs)
 
-    claimed, note = None, args.note or "No gain is claimed."
-    if args.claim:
-        claimed = {"workload": args.claim[0], "metric": args.claim[1],
-                   "target_ratio": float(args.claim[2])}
-        note = args.note or (f"Claimed: {args.claim[0]} {args.claim[1]} at most "
-                             f"{args.claim[2]}x the parent's median.")
+    note = args.note or "No gain is claimed."
+    if claimed:
+        summary = workloads[claimed["workload"]]
+        claimed["met"] = claim_met(summary["metrics"][claimed["metric"]], summary["pairs"],
+                                   claimed["target_ratio"])
+        note = args.note or (f"Claimed: {claimed['workload']} {claimed['metric']} at most "
+                             f"{claimed['target_ratio']:g}x the parent's median; "
+                             f"{'met' if claimed['met'] else 'not met'}.")
     out = {
         "parent": short,
         "change": args.change,
