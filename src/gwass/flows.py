@@ -19,6 +19,7 @@ adaptive stepping, so runs are deterministic and the error is O(step^4)).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,37 @@ class ZeroKernel:
         return conv
 
 
+class _ConvWorkspace(threading.local):
+    """Grow-only work arrays of the 1-d bump convolution, one set per thread.
+
+    A call on n points uses the first n rows.  Capacity at least doubles
+    when it grows, so a run whose atom count grows a little every step
+    reallocates O(log n) times.  Fresh arrays of this size on every scheme
+    step cost more than the arithmetic on them: glibc trims the freed top
+    of the heap after each step, and the next step faults the same memory
+    in again (docs/derivations.md section 11).
+    """
+
+    def __init__(self):
+        self.capacity = 0
+        self.n = -1
+
+    def arrays(self, n: int):
+        """Views of n rows: two (n, 5) row gathers and three (n,) columns.
+
+        The views of the last n are kept, since a run calls with the same n
+        many times in a row."""
+        if n != self.n:
+            if n > self.capacity:
+                self.capacity = max(n, 2 * self.capacity)
+                self.rows = np.empty((2, self.capacity, 5))
+                self.columns = np.empty((3, self.capacity))
+            rows, columns = self.rows[:, :n], self.columns[:, :n]
+            self.n = n
+            self.views = rows[0], rows[1], columns[0], columns[1], columns[2]
+        return self.views
+
+
 class BumpKernel:
     """C^1 bump of compact support: K(z) = h * (1 - (|z|/r)^2)^2 * u for |z| < r.
 
@@ -119,6 +151,7 @@ class BumpKernel:
         self.direction = self.direction / norm
         self.sup = abs(self.height)
         self.lip = abs(self.height) * _BUMP_SLOPE / self.radius
+        self._workspace = _ConvWorkspace()
 
     def profile(self, sq_dist_over_r2: np.ndarray) -> np.ndarray:
         return self.height * np.clip(1.0 - sq_dist_over_r2, 0.0, None) ** 2
@@ -133,8 +166,11 @@ class BumpKernel:
         span, and stored as one (n + 1, 5) prefix-sum table; each point costs
         two binary searches, one row gather per window edge and a Horner
         evaluation (docs/derivations.md section 11).  Sources that are already
-        sorted, as a canonical measure is, skip the sort.  Higher dimensions
-        fall back to chunked pairwise evaluation.
+        sorted, as a canonical measure is, skip the sort.  The gathers, the
+        window edges, t and the Horner accumulator are written into the
+        kernel's per-thread workspace (:class:`_ConvWorkspace`), reused from
+        call to call; each call still returns a fresh array.  Higher
+        dimensions fall back to chunked pairwise evaluation.
         """
         if src_pos.shape[0] == 0:
             return ZeroKernel().make_conv(src_pos, src_w)
@@ -147,7 +183,10 @@ class BumpKernel:
             c = 0.5 * (ys[0] + ys[-1])
             s = (ys - c) / r
             s2 = s * s
-            coef = np.empty((ys.shape[0] + 1, 5))
+            # rows rounded up to a power of two: consecutive scheme steps,
+            # whose atom counts differ by a few, then ask for the same size,
+            # and each step reuses the memory the last one freed
+            coef = np.empty((1 << ys.shape[0].bit_length(), 5))[:ys.shape[0] + 1]
             coef[0] = 0.0
             coef[1:, 0] = (1.0 - s2) ** 2
             coef[1:, 1] = 4.0 * s * (1.0 - s2)
@@ -159,15 +198,22 @@ class BumpKernel:
             # step fragment the heap that a trajectory's snapshots keep alive
             prefix = np.cumsum(coef, axis=0, out=coef)
             direction = self.direction
+            workspace = self._workspace
 
             def conv(x):
                 xv = x[:, 0]
-                lo = np.searchsorted(ys, xv - r, side="left")
-                hi = np.searchsorted(ys, xv + r, side="right")
-                m = np.take(prefix, hi, axis=0)
-                m -= np.take(prefix, lo, axis=0)
-                t = (xv - c) / r
-                vals = m[:, 4] * t
+                m, m_lo, edge, t, vals = workspace.arrays(xv.shape[0])
+                lo = np.searchsorted(ys, np.subtract(xv, r, out=edge), side="left")
+                hi = np.searchsorted(ys, np.add(xv, r, out=edge), side="right")
+                # searchsorted on the n source points returns 0..n, all rows
+                # of the (n + 1)-row prefix table, so "clip" never clips; it
+                # lets take write straight into ``out``, which "raise" buffers
+                np.take(prefix, hi, axis=0, out=m, mode="clip")
+                np.take(prefix, lo, axis=0, out=m_lo, mode="clip")
+                m -= m_lo
+                np.subtract(xv, c, out=t)
+                t /= r
+                np.multiply(m[:, 4], t, out=vals)
                 for q in (3, 2, 1):
                     vals += m[:, q]
                     vals *= t
@@ -241,7 +287,10 @@ class VectorFieldModel:
         base = self.base
 
         def field(x):
-            return base(x) + conv(x)
+            # conv returns a fresh array, so the sum can go into it
+            v = conv(x)
+            v += base(x)
+            return v
 
         return field
 
@@ -320,11 +369,19 @@ def flow_pushforward(model: VectorFieldModel, carrier: DiscreteMeasure,
     steps = max(1, int(math.ceil(t / cfg.ode_step - 1e-12)))
     h = t / steps
     x = carrier.positions.copy()
+    # the textbook stage points and increment, same operations in the same
+    # order, written into two buffers instead of fresh arrays
+    stage = np.empty_like(x)
+    incr = np.empty_like(x)
     for _ in range(steps):
         k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = field(np.add(x, np.multiply(0.5 * h, k1, out=stage), out=stage))
+        k3 = field(np.add(x, np.multiply(0.5 * h, k2, out=stage), out=stage))
+        k4 = field(np.add(x, np.multiply(h, k3, out=stage), out=stage))
+        np.multiply(2.0, k2, out=incr)
+        np.add(k1, incr, out=incr)
+        incr += np.multiply(2.0, k3, out=stage)
+        incr += k4
+        x += np.multiply(h / 6.0, incr, out=incr)
     return DiscreteMeasure(carrier.dim, x, carrier.weights)
 

@@ -107,10 +107,22 @@ class WpResult:
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
-    """Pairwise Euclidean distances to the p-th power."""
+    """Pairwise Euclidean distances to the p-th power.
+
+    Raises ValueError when a pair at positive distance d has d**p equal
+    to inf or 0 in floating point: a solver given that matrix would price
+    the pair as infinitely dear or free, and return a wrong value.
+    """
     diff = mu.positions[:, None, :] - nu.positions[None, :, :]
     d = np.linalg.norm(diff, axis=2)
-    return d ** p
+    with np.errstate(over="ignore", under="ignore"):
+        cost = d ** p
+    lost = np.flatnonzero((d > 0) & ((cost == 0) | np.isinf(cost)))
+    if lost.size:
+        k = lost[0]
+        raise ValueError(f"distance {float(d.flat[k])!r} to the power p = {p!r} is "
+                         f"{float(cost.flat[k])!r} in floating point; no cost matrix at this p")
+    return cost
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WpResult:
@@ -144,15 +156,16 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WpResult:
     if w_mass <= 0 or u_mass <= 0:
         raise MassMismatchError("W_p requires measures of positive mass")
 
+    cost = cost_matrix(mu, nu, p)
     # a single atom on either side forces the plan up to rescaling
     if mu.n_atoms == 1 or nu.n_atoms == 1:
         rows, cols = np.divmod(np.arange(mu.n_atoms * nu.n_atoms), nu.n_atoms)
         flows = mu.weights[rows] * nu.weights[cols] / u_mass
-        value = _arc_cost(mu.positions[rows], nu.positions[cols], flows, p) ** (1.0 / p)
+        value = float(np.sum(flows * cost.ravel())) ** (1.0 / p)
     else:
         # each side scaled to a total of 1, which also makes the LP feasible
         rows, cols, flows, raw = _minflow.solve_transportation(
-            cost_matrix(mu, nu, p), mu.weights / w_mass, nu.weights / u_mass)
+            cost, mu.weights / w_mass, nu.weights / u_mass)
         flows = flows * w_mass
         value = (w_mass * max(raw, 0.0)) ** (1.0 / p)
     return WpResult(value, TransportPlan(*_carried_arcs(rows, cols, flows, mu, nu), mu, nu), p)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -138,6 +140,105 @@ def test_bump_kernel_2d_pairwise():
     assert out[0, 0] == 0.0
     assert out[0, 1] == pytest.approx(2 * 0.5 * (1 - 0.25) ** 2)
     assert np.all(out[1] == 0.0)  # outside the support
+
+
+# The 1-d convolution reuses a per-kernel, per-thread workspace from call
+# to call.  Each case below must read exactly what a fresh kernel, whose
+# workspace is allocated for that one call, reads.
+
+def fresh_conv(src, w, x, radius=0.4, height=0.9):
+    return BumpKernel(radius, height).make_conv(src, w)(x)
+
+
+def bump_case(rng, n_src, n_x):
+    src = np.sort(rng.uniform(-1.5, 1.5, n_src))[:, None]
+    return src, rng.uniform(0.0, 0.1, n_src), rng.uniform(-2.0, 2.0, (n_x, 1))
+
+
+def test_bump_workspace_two_closures_called_alternately():
+    rng = np.random.default_rng(41)
+    kern = BumpKernel(0.4, 0.9)
+    small, large = bump_case(rng, 7, 50), bump_case(rng, 900, 1300)
+    conv_small = kern.make_conv(small[0], small[1])
+    conv_large = kern.make_conv(large[0], large[1])
+    for _ in range(3):
+        for conv, (src, w, x) in ((conv_small, small), (conv_large, large)):
+            assert np.array_equal(conv(x), fresh_conv(src, w, x))
+
+
+def test_bump_workspace_query_sizes_grow_then_shrink():
+    rng = np.random.default_rng(42)
+    src, w, _ = bump_case(rng, 300, 1)
+    conv = BumpKernel(0.4, 0.9).make_conv(src, w)
+    for n_x in (1, 5, 6, 64, 1000, 3001, 40, 1, 2999):
+        x = rng.uniform(-2.0, 2.0, (n_x, 1))
+        assert np.array_equal(conv(x), fresh_conv(src, w, x))
+
+
+def test_bump_workspace_result_outlives_the_next_call():
+    rng = np.random.default_rng(43)
+    src, w, x = bump_case(rng, 400, 500)
+    conv = BumpKernel(0.4, 0.9).make_conv(src, w)
+    conv(rng.uniform(-2.0, 2.0, (700, 1)))   # the later calls fit in this capacity
+    kept = conv(x)
+    snapshot = kept.copy()
+    conv(rng.uniform(-2.0, 2.0, (300, 1)))
+    conv(x[::-1])
+    assert np.array_equal(kept, snapshot)
+    assert np.array_equal(kept, fresh_conv(src, w, x))
+
+
+def test_bump_workspace_threads_share_a_kernel():
+    # more threads than cores, each with its own query size, so a buffer
+    # shared between threads would mix their gathers
+    rng = np.random.default_rng(44)
+    kern = BumpKernel(0.4, 0.9)
+    cases = [bump_case(rng, 200 + 150 * k, 300 + 400 * k) for k in range(6)]
+    expected = [fresh_conv(*case) for case in cases]
+    convs = [kern.make_conv(src, w) for src, w, _ in cases]
+    mismatches = []
+
+    def work(k):
+        for _ in range(40):
+            if not np.array_equal(convs[k](cases[k][2]), expected[k]):
+                mismatches.append(k)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_rk4_steps_match_the_textbook_expression():
+    params = GwParams(1, 1, 1)
+    model = build_velocity_model(
+        {"base": {"kind": "sine", "amplitude": [0.4], "frequency": [3.0]},
+         "kernel": {"kind": "bump", "radius": 0.5, "height": 0.3}}, params, 3.0)
+    rng = np.random.default_rng(45)
+    carrier = DiscreteMeasure(1, rng.uniform(-1, 1, (60, 1)), rng.uniform(0.01, 0.05, 60))
+    frozen = DiscreteMeasure(1, rng.uniform(-1, 1, (25, 1)), rng.uniform(0.01, 0.05, 25))
+    h = 0.125  # a power of two, so t / steps gives back h exactly
+    out = flow_pushforward(model, carrier, frozen, 3 * h, FlowConfig(h))
+
+    def field(y):
+        return model.base(y) + model.kernel.make_conv(frozen.positions, frozen.weights)(y)
+
+    x = carrier.positions
+    for _ in range(3):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(out.positions, x)
 
 
 def test_certified_constants_spot_checks():

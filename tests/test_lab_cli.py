@@ -74,6 +74,19 @@ def test_cli_error_exit_codes(tmp_path, capsys, dirac_files):
     assert not out_dir.exists()
 
 
+def test_cli_powers_out_of_float_range_exit_2(tmp_path, capsys):
+    # 5**1000 overflows and 0.5**1e4 underflows: one error line, exit 2
+    for mu_x, nu_x, p in (((0.0, 3.0), (1.0, 5.0), "1000"), ((0.0, 0.2), (0.5, 0.6), "1e4")):
+        mu = write_measure(tmp_path, "mu.json", [([x], 1.0) for x in mu_x])
+        nu = write_measure(tmp_path, "nu.json", [([x], 1.0) for x in nu_x])
+        for argv in (["dist", mu, nu, "--a", "1", "--b", "1", "--p", p],
+                     ["wasserstein", mu, nu, "--p", p]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            err = captured.err.strip().splitlines()
+            assert captured.out == "" and len(err) == 1 and "to the power p" in err[0]
+
+
 def test_cli_unreadable_input_files_exit_2(tmp_path, capsys, dirac_files):
     # a path that cannot be read as text (a directory, bytes that are not
     # UTF-8) is bad input like a missing file, not a traceback

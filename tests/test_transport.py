@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gwass import _minflow
+from gwass.gw import GwParams, gw_distance
 from gwass.measures import DiscreteMeasure, scale, total_mass
 from gwass.transport import (MassMismatchError, TransportPlan, cost_matrix,
                              wasserstein)
@@ -122,6 +123,43 @@ def test_value_is_homogeneous_in_mass_and_length():
                 got = wasserstein(DiscreteMeasure(dim, lam * x, k * w),
                                   DiscreteMeasure(dim, lam * y, k * u), p).value
                 assert got == pytest.approx(lam * k ** (1 / p) * unit, rel=1e-10)
+
+
+def unit_atoms(*xs):
+    return DiscreteMeasure(1, [[x] for x in xs], np.ones(len(xs)))
+
+
+# (mu, nu, p, distance whose p-th power leaves the float range): 5**1000
+# overflows to inf, which priced the pair as never worth moving (gw 3.0
+# instead of about 2.0, W_p NaN or a certificate error); 0.5**1e4
+# underflows to 0, which made moving free (gw and W_p 0.0 instead of 0.5)
+LOST_POWERS = [
+    pytest.param(unit_atoms(0.0, 3.0), unit_atoms(1.0, 5.0), 1000.0, "5.0", id="overflow-p1e3"),
+    pytest.param(unit_atoms(0.0, 3.0), unit_atoms(1.0, 5.0), 1e6, "5.0", id="overflow-p1e6"),
+    pytest.param(unit_atoms(0.0, 0.2), unit_atoms(0.5, 0.6), 1e4, "0.5", id="underflow-p1e4"),
+    pytest.param(unit_atoms(0.0, 0.2), unit_atoms(0.5, 0.6), 1e6, "0.5", id="underflow-p1e6"),
+    pytest.param(unit_atoms(0.0), unit_atoms(5.0), 1000.0, "5.0", id="overflow-one-atom"),
+    pytest.param(unit_atoms(0.0), unit_atoms(0.5), 1e4, "0.5", id="underflow-one-atom"),
+]
+
+
+@pytest.mark.parametrize("mu, nu, p, distance", LOST_POWERS)
+def test_powers_out_of_float_range_are_rejected(mu, nu, p, distance):
+    message = rf"distance {distance} to the power p = {p!r} is"
+    with pytest.raises(ValueError, match=message):
+        cost_matrix(mu, nu, p)
+    with pytest.raises(ValueError, match=message):
+        wasserstein(mu, nu, p)
+    with pytest.raises(ValueError, match=message):
+        gw_distance(mu, nu, GwParams(1.0, 1.0, p))
+
+
+def test_large_p_inside_the_float_range_still_solves():
+    mu, nu = unit_atoms(0.0, 0.2), unit_atoms(0.5, 0.6)
+    assert wasserstein(mu, nu, 100.0).value == pytest.approx(0.5, rel=1e-9)
+    assert gw_distance(mu, nu, GwParams(1.0, 1.0, 100.0)).value == pytest.approx(0.5, rel=1e-9)
+    # coincident atoms cost 0 at any p and are not an underflow
+    assert wasserstein(unit_atoms(0.0, 1.0), unit_atoms(0.0, 1.0), 1e6).value == 0.0
 
 
 def test_mass_mismatch_rejected():
