@@ -7,11 +7,12 @@ Four primitives live here:
   are the duals, up to SSP_MAX_ATOMS atoms per side, and HiGHS above that,
   with the SSP as its fallback.  HiGHS runs through scipy's bundled
   bindings (``scipy.optimize._highspy._core``), on one model per instance
-  built by :func:`_highs` from the arc index arrays.  Each LP reads and
-  returns its arcs as (rows, cols, flows) arrays, and the check reads the
-  node-arc incidence from those index arrays, so scipy is imported only
-  inside :func:`_highs`, on the first solve that runs HiGHS; the line
-  solver, the SSP and everything that uses only them run on numpy alone;
+  built by :func:`_highs` from the arc index arrays, with one fixed set-up
+  for every LP.  Each LP reads and returns its arcs as (rows, cols, flows)
+  arrays, and the check reads the node-arc incidence from those index
+  arrays, so scipy is imported only inside :func:`_highs`, on the first
+  solve that runs HiGHS; the line solver, the SSP and everything that uses
+  only them run on numpy alone;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
   masses by complementary slackness and certifies them; when a witness
@@ -54,8 +55,8 @@ LINE_TOL = 1e-9
 #: Line solver slopes below this fraction of sum |w_i - u_i| are zero, so the
 #: rounding residues of cancelled slopes leave no breakpoints.
 SLOPE_TOL = 1e-14
-#: HiGHS's feasibility tolerances are absolute: the LPs scale costs to a
-#: largest |cost| of 1, and wasserstein also masses to a total of 1.
+#: HiGHS's feasibility tolerances are absolute: _highs scales the costs to a
+#: largest |cost| of 1 and the masses to a total of 1 per side (on average).
 HIGHS_TOL = 1e-10
 #: W_p's allowed mass imbalance, relative to the larger mass.
 MASS_TOL = 1e-9
@@ -77,8 +78,8 @@ def _check_certificate(c, rows, cols, supply, demand, partial, x, y):
     ``y[rows] + y[n + cols]``.  The rows are inequalities A x <= b if
     ``partial``, else equalities, with b the supplies and then the demands.
     Conditions checked: primal feasibility, of the rows and of the bounds
-    x >= 0 (HiGHS's absolute tolerance admits negative flows at small
-    masses), dual sign for inequality rows (y <= 0 for a minimization with
+    x >= 0 (HiGHS's feasibility tolerance admits slightly negative
+    flows), dual sign for inequality rows (y <= 0 for a minimization with
     A x <= b), complementary slackness on rows, and nonnegative reduced
     costs, zero on arcs that carry flow.
     Primal values are tested to CERT_TOL times the total mass of the LP
@@ -119,50 +120,56 @@ def _highs(rows, cols, supply, demand, partial):
     driven through scipy's bundled bindings: column k is arc k, with unit
     entries in supply row ``rows[k]`` and demand row ``n + cols[k]``.
 
-    Returns ``solve(c)``: it sets the costs to ``c`` scaled to a largest
-    |cost| of 1 and runs HiGHS, from the last basis if an earlier call left
-    one, and returns ``(flows, row duals)`` with the duals in the units of
-    ``c``, or None if HiGHS ends in a status other than optimal or its duals
-    fail the KKT check.
+    Every LP gets the same set-up: one flat ``passModel`` call on int32
+    index arrays, presolve off and the primal simplex
+    (``simplex_strategy`` 4).  HiGHS's feasibility tolerances are
+    absolute, so the model sees the row bounds divided by half their
+    total (a mass of 1 per side when balanced) and, in each solve, the
+    costs divided by their largest |cost|.  A set-up call that does not
+    return ``kOk`` raises RuntimeError.
+
+    Returns ``solve(c)``: it sets the scaled costs and runs HiGHS, from
+    the last basis if an earlier call left one, and returns ``(flows, row
+    duals)`` in the units of ``supply``, ``demand`` and ``c``, or None if
+    HiGHS ends in a status other than optimal or its answer fails the KKT
+    check on the caller's masses.
     """
     # imported here: scipy.optimize takes most of the package's import time,
     # and no solve at or below SSP_MAX_ATOMS uses it
     from scipy.optimize._highspy import _core
 
+    def checked(status, call):
+        if status != _core.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS set-up failed: {call} returned {status.name}")
+
     n, k = supply.size, rows.size
     rhs = np.concatenate([supply, demand])
-    lp = _core.HighsLp()
-    lp.num_col_ = k
-    lp.num_row_ = rhs.size
-    lp.col_cost_ = np.zeros(k)
-    lp.col_lower_ = np.zeros(k)
-    lp.col_upper_ = np.full(k, _core.kHighsInf)
-    lp.row_lower_ = np.full(rhs.size, -_core.kHighsInf) if partial else rhs
-    lp.row_upper_ = rhs
-    matrix = lp.a_matrix_
-    matrix.format_ = _core.MatrixFormat.kColwise
-    matrix.num_col_ = k
-    matrix.num_row_ = rhs.size
-    # the bindings copy a list into an integer vector several times faster
-    # than an integer array
-    matrix.start_ = list(range(0, 2 * k + 1, 2))
-    matrix.index_ = np.column_stack([rows, n + cols]).ravel().tolist()
-    matrix.value_ = np.ones(2 * k)
+    # the row duals do not depend on the mass unit, the flows scale with it
+    m_scale = float(np.sum(rhs)) / 2.0 or 1.0
+    upper = rhs / m_scale
     highs = _core._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("primal_feasibility_tolerance", HIGHS_TOL)
-    highs.setOptionValue("dual_feasibility_tolerance", HIGHS_TOL)
-    highs.passModel(lp)
-    columns = np.arange(k)
+    for option, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 4),
+                          ("primal_feasibility_tolerance", HIGHS_TOL),
+                          ("dual_feasibility_tolerance", HIGHS_TOL)):
+        checked(highs.setOptionValue(option, value), f"setOptionValue({option!r})")
+    # an empty integrality vector is an error; zeros mark every column continuous
+    checked(highs.passModel(
+        k, rhs.size, 2 * k, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        np.zeros(k), np.zeros(k), np.full(k, _core.kHighsInf),
+        np.full(rhs.size, -_core.kHighsInf) if partial else upper, upper,
+        np.arange(0, 2 * k + 1, 2, dtype=np.int32),
+        np.column_stack([rows, n + cols]).astype(np.int32).ravel(),
+        np.ones(2 * k), np.zeros(k, dtype=np.int32)), "passModel")
+    columns = np.arange(k, dtype=np.int32)
 
     def solve(c):
         c_scale = float(np.max(np.abs(c))) or 1.0
-        highs.changeColsCost(k, columns, c / c_scale)
+        checked(highs.changeColsCost(k, columns, c / c_scale), "changeColsCost")
         highs.run()
         if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
             return None
         solution = highs.getSolution()
-        x, duals = np.array(solution.col_value), np.array(solution.row_dual)
+        x, duals = np.array(solution.col_value) * m_scale, np.array(solution.row_dual)
         try:
             _check_certificate(c / c_scale, rows, cols, supply, demand, partial, x, duals)
         except OptimalityCertificateError:

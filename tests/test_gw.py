@@ -322,9 +322,9 @@ def record_highs_solves(monkeypatch):
 
 @pytest.mark.parametrize("lo, hi, count", [(5, 8, 12), (20, 24, 3)])
 def test_dense_p1_with_huge_masses_and_tiny_b(lo, hi, count, monkeypatch):
-    # weights 10^U(7, 9) with b/a = 10^U(-6, -3): HiGHS can report such
-    # bounded LPs "unbounded"; the SSP solves them below the crossover and
-    # is HiGHS's fallback above it
+    # weights 10^U(7, 9) with b/a = 10^U(-6, -3): unscaled, HiGHS reported
+    # such bounded LPs "unbounded"; the SSP solves them below the crossover,
+    # and above it HiGHS, seeing unit masses, must solve every one itself
     solves = record_highs_solves(monkeypatch)
     rng = np.random.default_rng(79 + lo)
     for _ in range(count):
@@ -336,7 +336,48 @@ def test_dense_p1_with_huge_masses_and_tiny_b(lo, hi, count, monkeypatch):
         value = gw_distance(mu, nu, params).value
         scan = traced_gw(canonicalize(mu), canonicalize(nu), params)
         assert abs(value - scan) <= 1e-9 * a * (total_mass(mu) + total_mass(nu))
-    assert (not all(solves)) == (lo > _minflow.SSP_MAX_ATOMS)
+    assert solves == [True] * (count if lo > _minflow.SSP_MAX_ATOMS else 0)
+
+
+def extreme_mass_draws(rng, count):
+    """``count`` canonical pairs above the crossover, 13 to 29 atoms per
+    side, dimension 1 to 3 (2 or 3 at p = 1, where 1-d runs the line
+    solver), p in {1, 1.5, 2}, positions scaled by 10^U(-6, 6), weights
+    10^U(-12, 12) times 10^U(-3, 3) per atom and 2a/b from a tenth to three
+    times the spread of the positions; then one pair whose 1e-14 share of
+    its measure's mass sits beside atoms of 1e6."""
+    for _ in range(count):
+        p = float(rng.choice([1.0, 1.5, 2.0]))
+        dim = int(rng.integers(1 if p > 1 else 2, 4))
+        spread, mass = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-12, 12)
+        mu, nu = (canonicalize(DiscreteMeasure(dim, spread * rng.uniform(-1, 1, (n, dim)),
+                                               mass * 10.0 ** rng.uniform(-3, 3, n)))
+                  for n in rng.integers(13, 30, 2))
+        a = 10.0 ** rng.uniform(-3, 3)
+        yield mu, nu, GwParams(a, 2 * a / (spread * 10.0 ** rng.uniform(-1, 0.5)), p)
+    weights = np.full(14, 1e6)
+    weights[0] = 1e-14 * weights[1:].sum()
+    pos = rng.uniform(0, 1, (14, 2))
+    for p in (1.0, 2.0):
+        yield (canonicalize(DiscreteMeasure(2, pos, weights)),
+               canonicalize(DiscreteMeasure(2, pos + 0.01, weights)), GwParams(1.0, 1.0, p))
+
+
+def test_extreme_masses_above_the_crossover_need_no_fallback(monkeypatch):
+    # HiGHS's feasibility tolerances are absolute, so it must see the masses
+    # scaled: every solve above the crossover passes its own certificate,
+    # and every value is the oracle's, the exact one at p = 1 and the SSP
+    # trace at p > 1
+    solves = record_highs_solves(monkeypatch)
+    for mu, nu, params in extreme_mass_draws(np.random.default_rng(2025), 120):
+        value = gw_distance(mu, nu, params).value
+        if params.p == 1.0:
+            oracle = float(exact_p1_gw(mu, nu, params.a, params.b))
+        else:
+            oracle = traced_gw(mu, nu, params)
+        tol = _minflow.RECOMPOSE_TOL * params.a * (total_mass(mu) + total_mass(nu))
+        assert abs(value - oracle) <= tol, (params, mu.n_atoms, nu.n_atoms)
+    assert len(solves) >= 120 and all(solves), solves.count(False)
 
 
 @pytest.mark.parametrize("ssp_max", [_minflow.SSP_MAX_ATOMS, 0], ids=["ssp", "highs"])

@@ -185,17 +185,17 @@ def test_partial_transportation_returns_the_masked_arcs(ssp_max, monkeypatch):
 
 #: Every name the HiGHS backend reads from scipy's bundled bindings, by owner.
 HIGHS_BINDINGS = {
-    "_core": ("HighsLp", "MatrixFormat", "HighsModelStatus", "_Highs", "kHighsInf"),
-    "lp": ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
-           "row_upper_", "a_matrix_"),
-    "matrix": ("format_", "num_col_", "num_row_", "start_", "index_", "value_"),
+    "_core": ("HighsStatus", "MatrixFormat", "ObjSense", "HighsModelStatus", "_Highs",
+              "kHighsInf"),
     "highs": ("setOptionValue", "passModel", "changeColsCost", "run", "getModelStatus",
               "getSolution"),
     "solution": ("col_value", "row_dual"),
 }
+#: The solver options the backend sets besides output and tolerances.
+HIGHS_OPTIONS = {"presolve": "off", "simplex_strategy": 4}
 
 
-def test_highs_bindings_provide_every_name_the_backend_uses():
+def test_highs_bindings_provide_every_name_the_backend_uses(monkeypatch):
     # scipy's _highspy._core is private: pin what _minflow._highs reads from
     # it, and keep this list in step with the source
     import inspect
@@ -209,29 +209,78 @@ def test_highs_bindings_provide_every_name_the_backend_uses():
     for name in HIGHS_BINDINGS["_core"]:
         assert hasattr(_core, name), name
     assert _core.MatrixFormat.kColwise != _core.MatrixFormat.kRowwise
+    assert _core.ObjSense.kMinimize != _core.ObjSense.kMaximize
     assert _core.HighsModelStatus.kOptimal.name == "kOptimal"
-    lp = _core.HighsLp()
-    for name in HIGHS_BINDINGS["lp"]:
-        assert hasattr(lp, name), name
-    for name in HIGHS_BINDINGS["matrix"]:
-        assert hasattr(lp.a_matrix_, name), name
+    assert _core.HighsStatus.kOk.name == "kOk"
     for name in HIGHS_BINDINGS["highs"]:
         assert callable(getattr(_core._Highs, name)), name
     for name in HIGHS_BINDINGS["solution"]:
         assert hasattr(_core.HighsSolution(), name), name
+    # the two options are set, and HiGHS knows them and keeps their values
+    options = {}
+
+    class RecordingHighs(_core._Highs):
+        def setOptionValue(self, name, value):
+            options[name] = value
+            return super().setOptionValue(name, value)
+
+    monkeypatch.setattr(_core, "_Highs", RecordingHighs)
+    c, rows, cols, _, _ = two_by_two_pair(True)
+    _minflow._highs(rows, cols, np.ones(2), np.ones(2), True)(c)
+    highs = RecordingHighs()
+    for name, value in HIGHS_OPTIONS.items():
+        assert options[name] == value, name
+        assert highs.setOptionValue(name, value) == _core.HighsStatus.kOk, name
+        assert highs.getOptionValue(name)[1] == value, name
+
+
+@pytest.mark.parametrize("call", ["setOptionValue", "passModel", "changeColsCost"])
+@pytest.mark.parametrize("entry", ["dense_p1", "probes"])
+def test_a_highs_set_up_error_raises(call, entry, monkeypatch):
+    # a set-up call that HiGHS rejects must not leave a model that quietly
+    # fails every solve and falls back to the SSP
+    from scipy.optimize._highspy import _core
+
+    broken = type("BrokenHighs", (_core._Highs,),
+                  {call: lambda self, *args: _core.HighsStatus.kError})
+    monkeypatch.setattr(_core, "_Highs", broken)
+    rng = np.random.default_rng(13)
+    n = _minflow.SSP_MAX_ATOMS + 1
+    cost = rng.uniform(0.0, 1.0, (n, n))
+    supply, demand = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    with pytest.raises(RuntimeError, match=f"HiGHS set-up failed: {call}.* returned kError"):
+        if entry == "dense_p1":
+            solve_partial_transportation(cost - 2.0, supply, demand, np.ones((n, n), dtype=bool))
+        else:
+            _minflow.parametric_partial_transport(cost, supply, demand, 1.0, 1.0, 2.0)
+
+
+def test_highs_solves_an_lp_of_zero_mass():
+    # the masses are scaled by half their total, which must not divide by 0
+    n = _minflow.SSP_MAX_ATOMS + 1
+    cost = np.random.default_rng(3).uniform(-1.0, 1.0, (n, n))
+    zero = np.zeros(n)
+    _, _, flows, value = solve_partial_transportation(cost, zero, zero, np.ones((n, n), dtype=bool))
+    assert value == 0.0 and not np.any(flows)
 
 
 @pytest.mark.parametrize("partial", [False, True])
 def test_highs_model_solves_again_from_its_basis_with_new_costs(partial):
     # the 2x2 pair, then its costs swapped within each row: a second solve
-    # on the same model moves the plan to the other diagonal
+    # on the same model moves the plan to the other diagonal.  HiGHS sees
+    # the same unit masses at any total: the flows come back in the
+    # caller's units, and the duals, in the units of the costs, are the same
     c, rows, cols, x, _ = two_by_two_pair(partial)
-    ones = np.ones(2)
-    solve = _minflow._highs(rows, cols, ones, ones, partial)
-    for costs, plan in ((c, x), (c[[1, 0, 3, 2]], 1.0 - x)):
-        flows, duals = solve(costs)
-        assert flows == pytest.approx(plan, abs=1e-12)
-        _check_certificate(costs, rows, cols, ones, ones, partial, flows, duals)
+    duals_at = {}
+    for mass in (1.0, 1e-14, 1e14):
+        masses = np.full(2, mass)
+        solve = _minflow._highs(rows, cols, masses, masses, partial)
+        for costs, plan in ((c, x), (c[[1, 0, 3, 2]], 1.0 - x)):
+            flows, duals = solve(costs)
+            assert flows == pytest.approx(mass * plan, abs=1e-12 * mass)
+            _check_certificate(costs, rows, cols, masses, masses, partial, flows, duals)
+            duals_at.setdefault(costs.tobytes(), duals)
+            assert np.array_equal(duals, duals_at[costs.tobytes()])
 
 
 LINE_PAIR = (np.array([0.0, 1.0]), np.array([1.0, 1.0]),
