@@ -10,9 +10,11 @@ Four primitives live here:
   built by :func:`_highs` from the arc index arrays, with one fixed set-up
   for every LP.  Each LP reads and returns its arcs as (rows, cols, flows)
   arrays, and the check reads the node-arc incidence from those index
-  arrays, so scipy is imported only inside :func:`_highs`, on the first
-  solve that runs HiGHS; the line solver, the SSP and everything that uses
-  only them run on numpy alone;
+  arrays, so scipy is needed only inside :func:`_highs`: the first solve
+  that runs HiGHS loads the bindings' extension file alone
+  (:func:`_highs_core`), not ``scipy.optimize``, and falls back to the
+  plain import when scipy has no such file; the line solver, the SSP and
+  everything that uses only them run on numpy alone;
 * an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
   dual on the sorted atoms, whose optimal dual potential yields the kept
   masses by complementary slackness and certifies them; when a witness
@@ -32,6 +34,11 @@ Four primitives live here:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -115,6 +122,47 @@ def _check_certificate(c, rows, cols, supply, demand, partial, x, y):
         raise OptimalityCertificateError("positive reduced cost at an interior variable")
 
 
+#: Module name of scipy's bundled HiGHS bindings, which _highs drives.
+HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_CORE_LOCK = threading.Lock()
+
+
+def _highs_core():
+    """scipy's HiGHS bindings, loaded without ``scipy.optimize``.
+
+    The plain import runs ``scipy/optimize/__init__.py``, which loads
+    scipy.linalg, scipy.sparse and linprog, none of which _highs uses.  So
+    the extension file ``optimize/_highspy/_core<suffix>`` of the installed
+    scipy is loaded on its own, for the first suffix of
+    ``importlib.machinery.EXTENSION_SUFFIXES`` that names a file, and
+    registered in ``sys.modules`` as HIGHS_CORE: a later
+    ``import scipy.optimize`` then finds it there instead of loading the
+    extension a second time.  Imports by name (``from ... import _core``,
+    ``import ... as``) find it there; the attribute ``_core`` of the
+    package ``scipy.optimize._highspy`` is then left unset.  A module
+    already in ``sys.modules`` is returned as it is; when no file matches,
+    the plain import.  One caller loads at a time, so concurrent first
+    solves share one module.
+    """
+    with _HIGHS_CORE_LOCK:
+        core = sys.modules.get(HIGHS_CORE)
+        if core is not None:
+            return core
+        import scipy
+
+        folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(HIGHS_CORE, path)
+                core = importlib.util.module_from_spec(spec)
+                sys.modules[HIGHS_CORE] = core
+                spec.loader.exec_module(core)
+                return core
+    from scipy.optimize._highspy import _core
+    return _core
+
+
 def _highs(rows, cols, supply, demand, partial):
     """One HiGHS model of the transportation LP on the arcs ``(rows, cols)``,
     driven through scipy's bundled bindings: column k is arc k, with unit
@@ -134,9 +182,8 @@ def _highs(rows, cols, supply, demand, partial):
     HiGHS ends in a status other than optimal or its answer fails the KKT
     check on the caller's masses.
     """
-    # imported here: scipy.optimize takes most of the package's import time,
-    # and no solve at or below SSP_MAX_ATOMS uses it
-    from scipy.optimize._highspy import _core
+    # loaded here, not at import: no solve at or below SSP_MAX_ATOMS uses it
+    _core = _highs_core()
 
     def checked(status, call):
         if status != _core.HighsStatus.kOk:
