@@ -15,9 +15,11 @@ Four primitives live here:
   (:func:`_highs_core`), not ``scipy.optimize``, and falls back to the
   plain import when scipy has no such file; the line solver, the SSP and
   everything that uses only them run on numpy alone;
-* an exact solver for the 1-d, p=1 case: a chain DP over the flat-norm
-  dual on the sorted atoms, whose optimal dual potential yields the kept
-  masses by complementary slackness and certifies them; when a witness
+* an exact solver for the 1-d, p=1 case over the flat-norm dual on the
+  sorted atoms: a balanced instance whose W_1 potential fits in [-a, a]
+  takes that potential in closed form, every other instance a chain DP;
+  the optimal dual potential yields the kept masses by complementary
+  slackness and certifies them; when a witness
   plan is asked for, the kept masses are coupled by the monotone
   (quantile) coupling, which returns its arcs as (rows, cols, flows) arrays;
 * a successive-shortest-path (SSP) solver that traces the exact
@@ -285,21 +287,25 @@ def solve_partial_transportation(cost: np.ndarray, supply: np.ndarray, demand: n
 def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
                           tgt_pos: np.ndarray, tgt_w: np.ndarray,
                           a: float, b: float):
-    """Exact 1-d, p=1 generalized distance from the flat-norm dual chain DP.
+    """Exact 1-d, p=1 generalized distance from the flat-norm dual.
 
     The primal minimizes  a*(unkept source) + a*(unkept target)
     + b * W_1(kept, kept); its dual is  max sum_i c_i f_i  over the merged,
     sorted atom positions with net mass c_i = w_i - u_i, subject to
-    |f_i| <= a and |f_{i+1} - f_i| <= b * gap_i.  The dual is solved by a
-    chain DP over concave piecewise-linear value functions
-    (:func:`_dual_chain_dp`); the kept masses are rebuilt from the optimal
-    dual by complementary slackness (:func:`_slack_witness`).  The dual f
-    certifies the result: it is checked feasible and its value must match
-    the DP maximum.  The kept totals must agree to LINE_TOL times the total
-    mass, and the primal value of the kept masses, the removals plus
-    sum_i min(b*gap_i, 2a)*|F_i| with F the cumulative kept imbalance, must
-    match the DP maximum to RECOMPOSE_TOL * a(|mu| + |nu|); no coupling is
-    needed.
+    |f_i| <= a and |f_{i+1} - f_i| <= b * gap_i.  A balanced instance whose
+    W_1 potential fits in [-a, a] takes that potential
+    (:func:`_w1_potential`); every other instance is solved by a chain DP
+    over concave piecewise-linear value functions (:func:`_dual_chain_dp`).
+    The kept masses are rebuilt from the optimal dual by complementary
+    slackness (:func:`_slack_witness`).  The dual f certifies the result:
+    it is checked feasible, and its value must match the DP maximum or, on
+    the potential's route, reach the summation-by-parts bound
+    U = sum_i b*gap_i*|S_i| + a|S_N| (S the prefix sums of c), both to
+    CERT_TOL * a(|mu| + |nu|).  The kept totals must agree to LINE_TOL
+    times the total mass, and the primal value of the kept masses, the
+    removals plus sum_i min(b*gap_i, 2a)*|F_i| with F the cumulative kept
+    imbalance, must match the dual optimum to RECOMPOSE_TOL * a(|mu| + |nu|);
+    no coupling is needed.
     A failed check raises :class:`OptimalityCertificateError`.
 
     Returns ``(kept_src, kept_tgt, value)``, ``value`` the primal value.
@@ -311,16 +317,29 @@ def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
     net = w_node - u_node
     step = b * np.diff(nodes)
     mass = float(np.sum(w_node) + np.sum(u_node))
-    value, argmax = _dual_chain_dp(net.tolist(), step.tolist(), a,
-                                   SLOPE_TOL * float(np.sum(np.abs(net))))
-    f = _backtrack(argmax, step.tolist())
+    prefix = np.cumsum(net)
+    tol_c = SLOPE_TOL * float(np.sum(np.abs(net)))
+    f = _w1_potential(prefix, step, a, tol_c)
+    on_w1 = f is not None
+    if on_w1:
+        # each step of f is tight or flat, so f marks the tight gaps as an argmax does
+        argmax = f
+    else:
+        value, argmax = _dual_chain_dp(net.tolist(), step.tolist(), a, tol_c)
+        f = _backtrack(argmax, step.tolist())
 
     tol_f = LINE_TOL * a
     if (np.max(np.abs(f)) > a + tol_f
             or np.any(np.abs(np.diff(f)) > step + tol_f)):
         raise OptimalityCertificateError("dual potential of the line solve is infeasible")
     dual = float(np.dot(net, f))
-    if abs(dual - value) > CERT_TOL * a * mass:
+    if on_w1:
+        value = dual
+        bound = float(np.dot(step, np.abs(prefix[:-1]))) + a * abs(float(prefix[-1]))
+        if bound - dual > CERT_TOL * a * mass:
+            raise OptimalityCertificateError(
+                f"dual potential value {dual} falls short of the W1 bound {bound}")
+    elif abs(dual - value) > CERT_TOL * a * mass:
         raise OptimalityCertificateError(
             f"dual potential value {dual} disagrees with the chain DP maximum {value}")
 
@@ -348,6 +367,28 @@ def solve_line_partial_w1(src_pos: np.ndarray, src_w: np.ndarray,
         raise OptimalityCertificateError(
             f"flux recomposition {primal} disagrees with solver optimum {value}")
     return kept_src, kept_tgt, primal
+
+
+def _w1_potential(prefix, step, a, tol_c):
+    """Optimal flat-norm dual of a balanced line instance whose W_1
+    Kantorovich potential fits in [-a, a], or None.
+
+    ``prefix`` holds the prefix sums S_i of the net masses.  Summation by
+    parts bounds every feasible dual value by
+    U = sum_{i<N} step_i |S_i| + a |S_N|.  When |S_N| <= tol_c, the
+    potential phi_N = 0, phi_i = phi_{i+1} + step_i sign(S_i) (a step of 0
+    where |S_i| <= tol_c) attains the sum, and, when max phi - min phi <= 2a,
+    phi centred on [-a, a] is feasible and attains U to within tol_c times
+    2a plus the steps it leaves flat.
+    """
+    if abs(prefix[-1]) > tol_c:
+        return None
+    rise = np.where(np.abs(prefix[:-1]) > tol_c, np.copysign(step, prefix[:-1]), 0.0)
+    phi = np.append(np.cumsum(rise[::-1])[::-1], 0.0)
+    lo, hi = float(np.min(phi)), float(np.max(phi))
+    if hi - lo > 2.0 * a:
+        return None
+    return phi - 0.5 * (hi + lo)
 
 
 def _dual_chain_dp(net, step, a, tol_c):

@@ -34,15 +34,20 @@ _BUMP_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 # --- base fields -------------------------------------------------------------
 
 class ConstantBase:
-    """Spatially constant velocity c."""
+    """Spatially constant velocity c.
+
+    A call returns the read-only vector c itself, which broadcasts against
+    the (n, d) points it is added to; an in-place update of it raises.
+    """
 
     def __init__(self, c):
-        self.c = np.atleast_1d(np.asarray(c, dtype=float))
+        self.c = np.array(c, dtype=float, ndmin=1)
+        self.c.flags.writeable = False
         self.sup = float(np.linalg.norm(self.c))
         self.lip = 0.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.c, x.shape).copy()
+        return self.c
 
 
 class ZeroBase(ConstantBase):

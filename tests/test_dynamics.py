@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gwass import _minflow
 from gwass.dynamics import (ConstantModulation, SaturatingModulation,
                             SourceModel, build_source_model, cauchy_table,
                             continuous_dependence_check, reference_problem,
@@ -153,6 +154,24 @@ def test_cauchy_table_reference_problem_small():
         tab.constants["m"] * tab.constants["N"]
         * (tab.constants["M"] * tab.constants["m"] + tab.constants["P"])
         + tab.constants["M"] * tab.constants["P"] / 4.0)
+
+
+def test_cauchy_table_solves_take_the_w1_potential(monkeypatch):
+    # every level pair carries the same mass and its W1 potential fits in
+    # [-a, a], so no solve runs the chain DP; forcing the DP gives the same
+    # D_k.  ODE step 1/512, as in the scheme_cauchy benchmark workload
+    mu0, vel, src, params = reference_problem()
+    calls = []
+    dp = _minflow._dual_chain_dp
+    monkeypatch.setattr(_minflow, "_dual_chain_dp", lambda *args: calls.append(1) or dp(*args))
+    d_w1 = [row.d_k for row in cauchy_table(mu0, vel, src, 1.0, 3, 5, params,
+                                            FlowConfig(1 / 512)).rows]
+    assert not calls
+    monkeypatch.setattr(_minflow, "_w1_potential", lambda *args: None)
+    d_dp = [row.d_k for row in cauchy_table(mu0, vel, src, 1.0, 3, 5, params,
+                                            FlowConfig(1 / 512)).rows]
+    assert len(calls) == sum((1 << k) + 1 for k in range(3, 6))
+    assert d_w1 == pytest.approx(d_dp, rel=_minflow.RECOMPOSE_TOL)
 
 
 def test_continuous_dependence_trivial_and_translation():

@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from gwass.flows import BumpKernel, FlowConfig, build_velocity_model, flow_pushforward
+from gwass.flows import (BumpKernel, ConstantBase, FlowConfig, build_velocity_model,
+                         flow_pushforward)
 from gwass.gw import GwParams, gw_distance
 from gwass.lab import flow_estimate_report, frozen_gap_bound
 from gwass.measures import DiscreteMeasure, total_mass
@@ -31,6 +32,17 @@ def test_field_evaluation_examples():
     expected = 0.5 * (1 - (x - 0.25) ** 2) ** 2
     assert bump_only.make_evaluator(dirac)(np.array([[x]]))[0, 0] == pytest.approx(expected, abs=1e-14)
     assert bump_only.make_evaluator(DiscreteMeasure.zero(1))(np.array([[x]]))[0, 0] == 0.0
+
+
+def test_constant_base_returns_its_read_only_vector():
+    c = np.array([0.7, -0.2])
+    base = ConstantBase(c)
+    v = base(np.zeros((5, 2)))
+    assert np.array_equal(np.zeros((5, 2)) + v, np.tile(c, (5, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        v += 1.0
+    c[0] = 1.0          # the base keeps a copy; the caller's array stays writable
+    assert base.c[0] == 0.7
 
 
 def test_constant_field_translation_exact():

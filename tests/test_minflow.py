@@ -3,8 +3,8 @@ import pytest
 from exact_oracle import exact_p1_gw
 
 from gwass import _minflow
-from gwass._minflow import (RECOMPOSE_TOL, OptimalityCertificateError, _check_certificate,
-                            monotone_coupling, solve_line_partial_w1,
+from gwass._minflow import (CERT_TOL, RECOMPOSE_TOL, SLOPE_TOL, OptimalityCertificateError,
+                            _check_certificate, monotone_coupling, solve_line_partial_w1,
                             solve_partial_transportation, solve_transportation,
                             trace_partial_transport)
 from gwass.gw import GwParams, _assemble, gw_distance
@@ -300,6 +300,120 @@ def test_line_solver_rejects_a_dual_value_off_the_dp_maximum(monkeypatch):
                         lambda *args: (dp(*args)[0] + 1e-3, dp(*args)[1]))
     with pytest.raises(OptimalityCertificateError, match="disagrees with the chain DP maximum"):
         solve_line_partial_w1(*LINE_PAIR)
+
+
+# balanced, and its W1 potential [1, 0.5, 0.5, 0] spans 1 <= 2a
+BALANCED_PAIR = (np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+                 np.array([0.5, 1.5]), np.array([1.0, 1.0]), 1.0, 1.0)
+
+
+def count_chain_dp_calls(monkeypatch):
+    calls = []
+    dp = _minflow._dual_chain_dp
+    monkeypatch.setattr(_minflow, "_dual_chain_dp", lambda *args: calls.append(1) or dp(*args))
+    return calls
+
+
+@pytest.mark.parametrize("pair, dp_calls", [
+    (BALANCED_PAIR, 0),
+    (LINE_PAIR, 1),                     # balanced, but its W1 potential spans 2.5 > 2a
+    ((np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+      np.array([0.5, 1.5]), np.array([1.0, 1.0]), 1.0, 1.0), 1),   # unbalanced
+    # the same measure on both sides, spread over 3 > 2a/b: every S_i is 0
+    ((np.array([0.0, 1.0, 3.0]), np.ones(3), np.array([0.0, 1.0, 3.0]), np.ones(3), 1.0, 1.0),
+     0),
+    # S_0 = (0.1 + 0.2) - 0.3 is a rounding residue across a gap of 3 > 2a/b
+    ((np.array([0.0, 0.0, 3.0]), np.array([0.1, 0.2, 1.0]),
+      np.array([0.0, 3.5]), np.array([0.3, 1.0]), 1.0, 1.0), 0),
+], ids=["balanced-fits", "balanced-too-wide", "unbalanced", "same-measure", "residue"])
+def test_line_solver_runs_the_chain_dp_only_off_the_w1_route(pair, dp_calls, monkeypatch):
+    calls = count_chain_dp_calls(monkeypatch)
+    solve_line_partial_w1(*pair)
+    assert len(calls) == dp_calls
+
+
+def chain_dp_maximum(x, w, y, u, a, b):
+    nodes, node_of = np.unique(np.concatenate([x, y]), return_inverse=True)
+    net = (np.bincount(node_of[:x.size], weights=w, minlength=nodes.size)
+           - np.bincount(node_of[x.size:], weights=u, minlength=nodes.size))
+    return _minflow._dual_chain_dp(net.tolist(), (b * np.diff(nodes)).tolist(), a,
+                                   SLOPE_TOL * float(np.sum(np.abs(net))))[0]
+
+
+def equal_mass_line_instance(rng):
+    """Seeded 1-d instance of two equal masses, spread over a multiple of 2a/b."""
+    n, m = (int(k) for k in rng.integers(1, 13, 2))
+    a = float(rng.choice([0.5, 1.0, 2.0]))
+    b = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+    span = float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0])) * 2 * a / b
+    x = rng.uniform(0, span, n)
+    w = rng.uniform(0.05, 2, n)
+    if rng.random() < 0.2:              # the same measure on both sides
+        return x, w, x.copy(), w.copy(), a, b
+    y = rng.uniform(0, span, m)
+    if rng.random() < 0.3:              # some target atoms sit on source sites
+        share = rng.random(m) < 0.5
+        y[share] = rng.choice(x, int(share.sum()))
+    u = rng.uniform(0.05, 2, m)
+    return x, w, y, u * (w.sum() / u.sum()), a, b
+
+
+def test_balanced_line_solves_match_the_exact_oracle_and_the_chain_dp(monkeypatch):
+    calls = count_chain_dp_calls(monkeypatch)
+    rng = np.random.default_rng(1120)
+    on_route = 0
+    for _ in range(320):
+        x, w, y, u, a, b = equal_mass_line_instance(rng)
+        mass = w.sum() + u.sum()
+        before = len(calls)
+        value = solve_line_partial_w1(x, w, y, u, a, b)[2]
+        on_route += len(calls) == before
+        exact = exact_p1_gw(DiscreteMeasure(1, x[:, None], w), DiscreteMeasure(1, y[:, None], u),
+                            a, b)
+        assert value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+        assert abs(value - chain_dp_maximum(x, w, y, u, a, b)) <= CERT_TOL * a * mass
+        params = GwParams(a, b, 1.0)
+        r = gw_distance(DiscreteMeasure(1, x[:, None], w), DiscreteMeasure(1, y[:, None], u),
+                        params)
+        assert abs(r.value - r.value_from_parts(params)) <= RECOMPOSE_TOL * a * mass
+    # both routes are exercised: potentials that fit and some wider than 2a
+    assert 100 <= on_route <= 300
+
+
+def test_line_solver_rejects_a_w1_potential_outside_the_box(monkeypatch):
+    w1 = _minflow._w1_potential
+    monkeypatch.setattr(_minflow, "_w1_potential", lambda *args: w1(*args) + 2.0)
+    monkeypatch.setattr(_minflow, "_slack_witness", lambda *args: pytest.fail("witness read"))
+    with pytest.raises(OptimalityCertificateError, match="infeasible"):
+        solve_line_partial_w1(*BALANCED_PAIR)
+
+
+def test_line_solver_rejects_a_w1_potential_below_the_bound(monkeypatch):
+    w1 = _minflow._w1_potential
+
+    def one_step_flipped(*args):
+        drop = -np.diff(w1(*args))      # f_i - f_{i+1}
+        drop[0] = -drop[0]
+        phi = np.append(np.cumsum(drop[::-1])[::-1], 0.0)
+        return phi - 0.5 * (phi.max() + phi.min())
+
+    monkeypatch.setattr(_minflow, "_w1_potential", one_step_flipped)
+    monkeypatch.setattr(_minflow, "_slack_witness", lambda *args: pytest.fail("witness read"))
+    with pytest.raises(OptimalityCertificateError, match="falls short of the W1 bound"):
+        solve_line_partial_w1(*BALANCED_PAIR)
+
+
+@pytest.mark.parametrize("length", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("mass", [1e-15, 1e-5, 1.0, 1e5, 1e15])
+def test_w1_route_holds_across_mass_and_length_scales(mass, length, monkeypatch):
+    calls = count_chain_dp_calls(monkeypatch)
+    x, w, y, u, a, b = BALANCED_PAIR
+    # b/length keeps b * span, and with it the potential, at the unit pair's
+    kept_w, kept_u, value = solve_line_partial_w1(x * length, w * mass, y * length, u * mass,
+                                                  a, b / length)
+    assert not calls
+    assert value == pytest.approx(mass, rel=1e-12)         # b W1 of the unit pair is 1
+    assert np.array_equal(kept_w, w * mass) and np.array_equal(kept_u, u * mass)
 
 
 def test_assemble_rejects_a_solver_value_that_does_not_recompose():
